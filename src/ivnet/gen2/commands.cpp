@@ -1,8 +1,11 @@
 #include "ivnet/gen2/commands.hpp"
 
+#include <stdexcept>
+
 namespace ivnet::gen2 {
 
 Bits QueryCommand::encode() const {
+  if (q > 15) throw std::invalid_argument("QueryCommand: q must be <= 15");
   Bits bits;
   append_bits(bits, 0b1000, 4);
   append_bits(bits, static_cast<std::uint32_t>(dr), 1);

@@ -32,7 +32,8 @@ struct QueryCommand {
   bool target_b = false;     ///< inventoried flag target (A=false)
   std::uint8_t q = 0;        ///< slot-count exponent, 0..15
 
-  /// 22 bits: '1000' + fields + CRC-5.
+  /// 22 bits: '1000' + fields + CRC-5. Throws std::invalid_argument for
+  /// q > 15 (the field is 4 bits wide).
   Bits encode() const;
   static std::optional<QueryCommand> parse(const Bits& bits);
 };

@@ -216,7 +216,21 @@ ImpairmentChain::ImpairmentChain(ImpairmentConfig config) : config_(config) {}
 std::vector<double> ImpairmentChain::apply(std::span<const double> x,
                                            double sample_rate_hz, Rng& rng,
                                            ImpairmentTrace* trace) const {
-  std::vector<double> out = apply_clock_drift(x, config_.clock_drift_ppm);
+  std::vector<double> out;
+  apply_before_awgn(x, out, sample_rate_hz, rng, trace);
+  apply_awgn(out, config_.snr_db, rng);
+  return out;
+}
+
+void ImpairmentChain::apply_before_awgn(std::span<const double> x,
+                                        std::vector<double>& out,
+                                        double sample_rate_hz, Rng& rng,
+                                        ImpairmentTrace* trace) const {
+  if (config_.clock_drift_ppm != 0.0) {
+    out = apply_clock_drift(x, config_.clock_drift_ppm);
+  } else if (x.data() != out.data()) {
+    out.assign(x.begin(), x.end());
+  }
   if (config_.cfo_hz != 0.0 || config_.cfo_phase_rad != 0.0) {
     apply_carrier_offset(out, sample_rate_hz, config_.cfo_hz,
                          config_.cfo_phase_rad);
@@ -230,8 +244,6 @@ std::vector<double> ImpairmentChain::apply(std::span<const double> x,
     trace->bursts += bursts;
     trace->erased_samples += erased;
   }
-  apply_awgn(out, config_.snr_db, rng);
-  return out;
 }
 
 Waveform ImpairmentChain::apply(const Waveform& in, Rng& rng,

@@ -164,6 +164,14 @@ class ImpairmentChain {
 
   std::vector<double> apply(std::span<const double> x, double sample_rate_hz,
                             Rng& rng, ImpairmentTrace* trace = nullptr) const;
+  /// Every stage of the real-stream apply() before AWGN (drift, CFO, phase
+  /// noise, bursts): `out` becomes `x` as impaired so far (`x` may view
+  /// `out` itself). apply() is this followed by apply_awgn, so a caller can
+  /// run these stages per stream and generate the noise of many streams
+  /// together (sim/batch_pipeline.hpp) with identical bytes.
+  void apply_before_awgn(std::span<const double> x, std::vector<double>& out,
+                         double sample_rate_hz, Rng& rng,
+                         ImpairmentTrace* trace = nullptr) const;
   Waveform apply(const Waveform& in, Rng& rng,
                  ImpairmentTrace* trace = nullptr) const;
 

@@ -10,6 +10,10 @@
 // folded into an SNR budget (array gain, tissue loss, downlink advantage),
 // which keeps one session in the tens of microseconds of CPU — fast enough
 // for the media x SNR x antennas Monte-Carlo matrices the test suite runs.
+//
+// The protocol itself lives in one place, the lane engine of
+// sim/batch_pipeline.hpp; run_impaired_link_session is its K = 1 call.
+// session_golden_test pins the engine's outputs as frozen digests.
 #pragma once
 
 #include <cstdint>
@@ -71,15 +75,16 @@ struct LinkSessionReport {
   ImpairmentTrace trace;      ///< bursts hit, samples erased, brownout
 };
 
-/// The 96-bit EPC an empty ImpairedLinkConfig::epc resolves to. Exposed so
-/// the batched pipeline seeds its lane tags with the identical identity.
+/// The 96-bit EPC an empty ImpairedLinkConfig::epc resolves to.
 gen2::Bits default_link_epc();
 
-/// Run one full impaired session. Consumes exactly ONE draw from `rng`
-/// (the stream base): every command attempt derives its own counter-keyed
-/// sub-stream, so identical configs at different SNRs see the *same* noise
-/// shapes scaled to different powers — the common-random-numbers property
-/// the waterfall monotonicity tests rely on.
+/// Run one full impaired session (a one-lane run_session_lanes call whose
+/// sim events land on the caller's current trace track). Consumes exactly
+/// ONE draw from `rng` (the stream base): every command attempt derives
+/// its own counter-keyed sub-stream, so identical configs at different
+/// SNRs see the *same* noise shapes scaled to different powers — the
+/// common-random-numbers property the waterfall monotonicity tests rely
+/// on. Throws std::invalid_argument for an invalid adaptive_q.
 LinkSessionReport run_impaired_link_session(const ImpairedLinkConfig& config,
                                             Rng& rng);
 

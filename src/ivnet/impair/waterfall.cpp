@@ -1,18 +1,17 @@
 #include "ivnet/impair/waterfall.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "ivnet/common/parallel.hpp"
 #include "ivnet/common/json.hpp"
-#include "ivnet/gen2/fm0.hpp"
-#include "ivnet/gen2/miller.hpp"
 #include "ivnet/obs/obs.hpp"
 
 namespace ivnet {
 namespace {
 
-/// Per-point accumulator folded deterministically by parallel_reduce.
+/// Per-batch accumulator, folded in batch order by batched_reduce: the
+/// outcome tallies plus the batch workspace's high-water mark, max-combined
+/// so the sweep reports the arena gauge once from the calling thread
+/// (pool-thread gauge writes would race).
 struct Tally {
   std::size_t bit_errors = 0;
   std::size_t frame_errors = 0;
@@ -20,6 +19,7 @@ struct Tally {
   std::size_t retried_successes = 0;
   long retries = 0;
   long timeouts = 0;
+  std::size_t high_water = 0;
 };
 
 Tally combine(Tally a, const Tally& b) {
@@ -29,90 +29,45 @@ Tally combine(Tally a, const Tally& b) {
   a.retried_successes += b.retried_successes;
   a.retries += b.retries;
   a.timeouts += b.timeouts;
-  return a;
-}
-
-double uplink_budget_db(const ImpairedLinkConfig& link) {
-  const double array_gain_db =
-      10.0 * std::log10(static_cast<double>(
-                 std::max<std::size_t>(1, link.num_antennas)));
-  return link.snr_db + array_gain_db - 2.0 * link.medium_loss_db;
-}
-
-/// The raw-BER probe projected onto a tally (delegates to the exported
-/// oracle so the batched pipeline's fallback runs the identical trial).
-Tally ber_trial(const ImpairedLinkConfig& link, std::size_t payload_bits,
-                Rng trial_rng) {
-  const BerProbeResult r = ber_probe_trial(link, payload_bits, trial_rng);
-  Tally t;
-  t.bit_errors = r.bit_errors;
-  t.frame_errors = r.frame_error ? 1 : 0;
-  return t;
-}
-
-Tally session_trial(const ImpairedLinkConfig& link, Rng trial_rng) {
-  const auto report = run_impaired_link_session(link, trial_rng);
-  Tally t;
-  t.successes = report.success ? 1 : 0;
-  t.retried_successes = (report.success && report.recovery.retries > 0) ? 1 : 0;
-  t.retries = report.recovery.retries;
-  t.timeouts = report.recovery.timeouts;
-  return t;
-}
-
-/// Batch-local accumulation (satellite of the batched pipeline): lane
-/// outcomes fold straight into the batch partial — no per-trial
-/// LinkSessionReport is materialized on the batched path.
-void accumulate_session(Tally& t, const SessionOutcome& o) {
-  t.successes += o.success != 0 ? 1 : 0;
-  t.retried_successes = t.retried_successes +
-                        ((o.success != 0 && o.retries > 0) ? 1 : 0);
-  t.retries += static_cast<long>(o.retries);
-  t.timeouts += static_cast<long>(o.timeouts);
-}
-
-/// One batch's partial: the tally plus the batch workspace's high-water
-/// mark, max-combined so the sweep can report the arena gauge once from
-/// the calling thread (pool-thread gauge writes would race).
-struct BatchPartial {
-  Tally tally;
-  std::size_t high_water = 0;
-};
-
-BatchPartial combine_partial(BatchPartial a, const BatchPartial& b) {
-  a.tally = combine(a.tally, b.tally);
   a.high_water = std::max(a.high_water, b.high_water);
   return a;
 }
 
-/// Batched session sweep over one sweep point: trials [0, n) through the
-/// lane engine, one fresh DspWorkspace per batch (deterministic high-water),
-/// with the optional BER probe sharing the batch's workspace.
-BatchPartial run_point_batched(const ImpairedLinkConfig& link, std::size_t n,
-                               std::size_t batch, std::uint64_t base,
-                               std::uint64_t stride,
-                               std::uint64_t session_offset,
-                               std::size_t ber_payload_bits) {
-  return batched_reduce<BatchPartial>(
-      n, batch, BatchPartial{},
+/// One sweep point: trials [0, n) through the session engine in batches of
+/// `batch` lanes, one fresh DspWorkspace per batch (deterministic
+/// high-water), with the optional BER probe sharing the batch's workspace.
+/// Trial t's sim events land on track `track_base + t`.
+Tally run_point(const ImpairedLinkConfig& link, std::size_t n,
+                std::size_t batch, std::uint64_t base, std::uint64_t stride,
+                std::uint64_t session_offset, std::size_t ber_payload_bits,
+                std::size_t track_base) {
+  // Reject a bad adaptive-Q config here, before any pool dispatch.
+  (void)AdaptiveQ(link.adaptive_q);
+  return batched_reduce<Tally>(
+      n, batch, Tally{},
       [&](std::size_t lo, std::size_t hi) {
-        BatchPartial p;
+        Tally t;
         DspWorkspace workspace;
         if (ber_payload_bits > 0) {
           run_ber_batch(link, ber_payload_bits, base, stride, 0, lo, hi,
                         workspace, [&](std::size_t, const BerOutcome& o) {
-                          p.tally.bit_errors += o.bit_errors;
-                          p.tally.frame_errors += o.frame_error;
+                          t.bit_errors += o.bit_errors;
+                          t.frame_errors += o.frame_error;
                         });
         }
-        run_session_batch(link, base, stride, session_offset, lo, hi,
-                          workspace, [&](std::size_t, const SessionOutcome& o) {
-                            accumulate_session(p.tally, o);
-                          });
-        p.high_water = workspace.high_water_bytes();
-        return p;
+        run_session_batch(
+            link, base, stride, session_offset, lo, hi, workspace,
+            [&](std::size_t, const SessionOutcome& o) {
+              t.successes += o.success;
+              t.retried_successes += o.success != 0 && o.retries > 0;
+              t.retries += static_cast<long>(o.retries);
+              t.timeouts += static_cast<long>(o.timeouts);
+            },
+            static_cast<std::uint32_t>(track_base));
+        t.high_water = workspace.high_water_bytes();
+        return t;
       },
-      combine_partial);
+      combine);
 }
 
 }  // namespace
@@ -121,46 +76,6 @@ double medium_loss_at_depth_db(const Medium& medium, double freq_hz,
                                double depth_m) {
   return medium.power_loss_db_per_m(freq_hz) * depth_m +
          boundary_loss_db(media::air(), medium, freq_hz);
-}
-
-BerProbeResult ber_probe_trial(const ImpairedLinkConfig& link,
-                               std::size_t payload_bits, Rng trial_rng) {
-  gen2::Bits payload(payload_bits);
-  for (auto&& b : payload) b = (trial_rng() & 1u) != 0;
-  ImpairmentConfig impair = link.impair;
-  impair.snr_db = uplink_budget_db(link);
-  const ImpairmentChain chain(impair);
-  const double fs = link.sample_rate_hz;
-  std::vector<double> tx =
-      link.uplink == gen2::Miller::kFm0
-          ? gen2::fm0_modulate(payload, link.blf_hz, fs)
-          : gen2::miller_modulate(link.uplink, payload, link.blf_hz, fs);
-  const auto rx = chain.apply(tx, fs, trial_rng);
-
-  BerProbeResult t;
-  bool valid = false;
-  gen2::Bits decoded;
-  if (link.uplink == gen2::Miller::kFm0) {
-    auto d = gen2::fm0_decode(rx, payload_bits, link.blf_hz, fs,
-                              link.min_correlation);
-    valid = d.valid;
-    decoded = std::move(d.bits);
-  } else {
-    auto d = gen2::miller_decode(link.uplink, rx, payload_bits, link.blf_hz,
-                                 fs, link.min_correlation);
-    valid = d.valid;
-    decoded = std::move(d.bits);
-  }
-  if (!valid || decoded.size() != payload_bits) {
-    t.bit_errors = payload_bits / 2;
-    t.frame_error = true;
-    return t;
-  }
-  for (std::size_t i = 0; i < payload_bits; ++i) {
-    if (decoded[i] != payload[i]) ++t.bit_errors;
-  }
-  t.frame_error = t.bit_errors > 0;
-  return t;
 }
 
 std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
@@ -181,31 +96,11 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
     // Streams keyed by trial index only: every SNR point replays the same
     // noise shapes at its own power (common random numbers). Even indices
     // feed the BER probe, odd ones the full session.
-    const std::size_t track_base = point_index * trials;
-    Tally total;
-    if (batch > 1) {
-      // Lane engine, bitwise-identical outcomes (no per-trial sim tracks).
-      const BatchPartial p = run_point_batched(
-          link, trials, batch, base, /*stride=*/2, /*session_offset=*/1,
-          config.payload_bits);
-      total = p.tally;
-      sweep_high_water = std::max(sweep_high_water, p.high_water);
-    } else {
-      total = parallel_reduce<Tally>(
-          trials, Tally{},
-          [&](std::size_t t) {
-            // A unique sim-trace track per (point, trial): the exported
-            // trace orders by (track, seq), so it is byte-stable for any
-            // pool size.
-            obs::ScopedTrack track(
-                static_cast<std::uint32_t>(track_base + t));
-            Tally tt = ber_trial(link, config.payload_bits,
-                                 Rng::stream(base, 2 * t));
-            return combine(tt,
-                           session_trial(link, Rng::stream(base, 2 * t + 1)));
-          },
-          combine);
-    }
+    const Tally total =
+        run_point(link, trials, batch, base, /*stride=*/2,
+                  /*session_offset=*/1, config.payload_bits,
+                  point_index * trials);
+    sweep_high_water = std::max(sweep_high_water, total.high_water);
     ++point_index;
     WaterfallPoint p;
     p.snr_db = snr_db;
@@ -219,13 +114,11 @@ std::vector<WaterfallPoint> run_ber_waterfall(const WaterfallConfig& config,
     p.mean_timeouts = static_cast<double>(total.timeouts) / n;
     points.push_back(p);
   }
-  if (batch > 1) {
-    // Once per sweep, from the calling thread: max over every batch's
-    // workspace high-water (per-batch gauge writes from pool workers would
-    // be racy and thread-count-dependent).
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
-  }
+  // Once per sweep, from the calling thread: max over every batch's
+  // workspace high-water (per-batch gauge writes from pool workers would be
+  // racy and thread-count-dependent).
+  obs::gauge_set("workspace.high_water_bytes",
+                 static_cast<double>(sweep_high_water));
   return points;
 }
 
@@ -248,27 +141,13 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
         link.medium_loss_db = medium.loss_db;
         link.snr_db = snr_db;
         link.num_antennas = antennas;
-        const std::size_t track_base = cell_index * trials;
-        Tally total;
-        if (batch > 1) {
-          const BatchPartial p = run_point_batched(
-              link, trials, batch, base, /*stride=*/1, /*session_offset=*/0,
-              /*ber_payload_bits=*/0);
-          total = p.tally;
-          sweep_high_water = std::max(sweep_high_water, p.high_water);
-        } else {
-          total = parallel_reduce<Tally>(
-              trials, Tally{},
-              [&](std::size_t t) {
-                // Trial-keyed streams shared by every cell: the whole
-                // matrix replays the same noise realizations per trial
-                // slot.
-                obs::ScopedTrack track(
-                    static_cast<std::uint32_t>(track_base + t));
-                return session_trial(link, Rng::stream(base, t));
-              },
-              combine);
-        }
+        // Trial-keyed streams shared by every cell: the whole matrix
+        // replays the same noise realizations per trial slot.
+        const Tally total =
+            run_point(link, trials, batch, base, /*stride=*/1,
+                      /*session_offset=*/0, /*ber_payload_bits=*/0,
+                      cell_index * trials);
+        sweep_high_water = std::max(sweep_high_water, total.high_water);
         ++cell_index;
         MatrixCell cell;
         cell.medium = medium.name;
@@ -286,10 +165,8 @@ std::vector<MatrixCell> run_session_matrix(const MatrixConfig& config,
       }
     }
   }
-  if (batch > 1) {
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
-  }
+  obs::gauge_set("workspace.high_water_bytes",
+                 static_cast<double>(sweep_high_water));
   return cells;
 }
 
@@ -308,24 +185,11 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
     ImpairedLinkConfig link = config.link;
     link.medium_loss_db =
         medium_loss_at_depth_db(config.medium, config.freq_hz, depth_m);
-    const std::size_t track_base = point_index * trials;
-    Tally total;
-    if (batch > 1) {
-      const BatchPartial p = run_point_batched(
-          link, trials, batch, base, /*stride=*/1, /*session_offset=*/0,
-          /*ber_payload_bits=*/0);
-      total = p.tally;
-      sweep_high_water = std::max(sweep_high_water, p.high_water);
-    } else {
-      total = parallel_reduce<Tally>(
-          trials, Tally{},
-          [&](std::size_t t) {
-            obs::ScopedTrack track(
-                static_cast<std::uint32_t>(track_base + t));
-            return session_trial(link, Rng::stream(base, t));
-          },
-          combine);
-    }
+    const Tally total =
+        run_point(link, trials, batch, base, /*stride=*/1,
+                  /*session_offset=*/0, /*ber_payload_bits=*/0,
+                  point_index * trials);
+    sweep_high_water = std::max(sweep_high_water, total.high_water);
     ++point_index;
     DepthPoint p;
     p.depth_m = depth_m;
@@ -335,10 +199,8 @@ std::vector<DepthPoint> run_success_vs_depth(const DepthSweepConfig& config,
     p.mean_retries = static_cast<double>(total.retries) / n;
     points.push_back(p);
   }
-  if (batch > 1) {
-    obs::gauge_set("workspace.high_water_bytes",
-                   static_cast<double>(sweep_high_water));
-  }
+  obs::gauge_set("workspace.high_water_bytes",
+                 static_cast<double>(sweep_high_water));
   return points;
 }
 

@@ -3,7 +3,8 @@
 // curves — the impaired-channel counterparts of the paper's Fig. 13/14
 // evaluation plots.
 //
-// All sweeps run through the shared parallel engine with counter-derived
+// All sweeps run their trials through the session engine's batches
+// (sim/batch_pipeline.hpp) on the shared pool, with counter-derived
 // per-trial Rng streams, and all are keyed by the TRIAL index only (not the
 // sweep point), so every SNR / depth / antenna point sees the same noise
 // realizations scaled to its own budget. These common random numbers make
@@ -43,25 +44,10 @@ struct WaterfallConfig {
   std::vector<double> snr_points_db = {30.0, 20.0, 10.0, 0.0};
   std::size_t trials_per_point = 32;
   std::size_t payload_bits = 128;  ///< frame length for the raw BER probe
-  /// Batched-pipeline knob: resolved size > 1 runs trials through the
-  /// lockstep lane engine (sim/batch_pipeline.hpp), bitwise-identical to
-  /// the scalar path; <= 1 keeps the original per-trial oracle loop.
+  /// Lanes per session-engine batch (sim/batch_pipeline.hpp): a speed
+  /// knob only, the output bytes are the same at any batch size.
   BatchConfig batch{};
 };
-
-/// One raw-BER probe outcome (exposed so the batched pipeline's scalar
-/// fallback runs the exact waterfall oracle).
-struct BerProbeResult {
-  std::size_t bit_errors = 0;
-  bool frame_error = false;
-};
-
-/// The waterfall's raw-BER probe: random payload through the impaired
-/// uplink, decoded at the reader's correlation gate. An undecodable frame
-/// is charged half its bits. Consumes payload_bits draws for the payload,
-/// then whatever the impairment chain draws.
-BerProbeResult ber_probe_trial(const ImpairedLinkConfig& link,
-                               std::size_t payload_bits, Rng trial_rng);
 
 /// Sweep SNR. Consumes one rng draw (the stream base); trial t draws from
 /// Rng::stream sub-streams shared across all SNR points (common random

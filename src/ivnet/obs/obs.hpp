@@ -123,13 +123,26 @@ class ScopedTrack {
         prev_seq_(detail::current_sim_seq()) {
     detail::set_sim_track(track, 0);
   }
-  ~ScopedTrack() { detail::set_sim_track(prev_track_, prev_seq_); }
+  /// Resumes a track whose trial is interleaved with others on this thread
+  /// (the batched session lanes): events continue at sequence `*seq`, and
+  /// the advanced counter is written back to `*seq` on exit.
+  ScopedTrack(std::uint32_t track, std::uint64_t* seq)
+      : prev_track_(detail::current_sim_track()),
+        prev_seq_(detail::current_sim_seq()),
+        resume_seq_(seq) {
+    detail::set_sim_track(track, *seq);
+  }
+  ~ScopedTrack() {
+    if (resume_seq_ != nullptr) *resume_seq_ = detail::current_sim_seq();
+    detail::set_sim_track(prev_track_, prev_seq_);
+  }
   ScopedTrack(const ScopedTrack&) = delete;
   ScopedTrack& operator=(const ScopedTrack&) = delete;
 
  private:
   std::uint32_t prev_track_;
   std::uint64_t prev_seq_;
+  std::uint64_t* resume_seq_ = nullptr;
 };
 
 }  // namespace ivnet::obs

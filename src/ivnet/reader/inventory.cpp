@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "ivnet/obs/obs.hpp"
 
@@ -15,8 +17,24 @@ InventoryConfig InventoryConfig::normalized() const {
   return n;
 }
 
+namespace {
+
+/// A Gen2 Query carries Q in 4 bits, and a frame of 2^Q slots must stay
+/// shiftable: reject bounds outside 0 <= q_min <= q_max <= 15 up front.
+const AdaptiveQConfig& checked(const AdaptiveQConfig& config) {
+  if (config.q_max > 15 || config.q_min > config.q_max) {
+    throw std::invalid_argument(
+        "AdaptiveQ: need q_min <= q_max <= 15, got q_min " +
+        std::to_string(config.q_min) + ", q_max " +
+        std::to_string(config.q_max));
+  }
+  return config;
+}
+
+}  // namespace
+
 AdaptiveQ::AdaptiveQ(AdaptiveQConfig config)
-    : config_(config),
+    : config_(checked(config)),
       qfp_(std::clamp(config.initial_q, static_cast<double>(config.q_min),
                       static_cast<double>(config.q_max))) {}
 

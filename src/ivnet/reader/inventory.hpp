@@ -64,6 +64,7 @@ struct AdaptiveQConfig {
 
 class AdaptiveQ {
  public:
+  /// Throws std::invalid_argument unless q_min <= q_max <= 15.
   explicit AdaptiveQ(AdaptiveQConfig config = {});
 
   void on_collision();  ///< Qfp += step

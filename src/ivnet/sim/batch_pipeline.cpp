@@ -1,13 +1,18 @@
-// Batched run-to-completion lane engine (see batch_pipeline.hpp).
+// The impaired Gen2 session engine (see batch_pipeline.hpp).
 //
-// The lockstep session engine below is a restructuring — NOT a re-derivation
-// — of impair/link_session.cpp: every lane performs the exact operation
-// sequence of the scalar oracle (same elapsed_s accumulation order, same
-// per-attempt counter-keyed Rng streams, same adaptive-Q feedback points),
-// only interleaved across K lanes so the AWGN fills of equal-length records
-// can be generated four lanes at a time (signal/gauss.hpp). When editing
-// link_session.cpp, mirror the change here — batch_pipeline_test pins the
-// two paths memcmp-equal and will catch any drift.
+// A session is a small state machine per lane: charge, then one command
+// exchange per stage (Query -> RN16, ACK -> EPC), each retried up to
+// RecoveryPolicy::max_attempts times. A round of the engine is one command
+// attempt of every live lane, in three phases:
+//   A. retry bookkeeping, the lane's attempt stream, the PIE command and
+//      its downlink record (shared-medium bursts, then the AWGN fill);
+//   C. the tag's envelope slicer and state machine, the Query slot chase,
+//      and the uplink record of every lane whose tag replied (modulation,
+//      the reader-RX impairments, then the AWGN fill);
+//   E. the brownout reply gate, the reader's decode, and the stage
+//      transitions.
+// Every lane draws only from its own streams, in the same order at any
+// batch size, so K lanes produce the bytes of K lone sessions.
 #include "ivnet/sim/batch_pipeline.hpp"
 
 #include <algorithm>
@@ -24,11 +29,11 @@
 #include "ivnet/gen2/commands.hpp"
 #include "ivnet/gen2/crc.hpp"
 #include "ivnet/gen2/fm0.hpp"
+#include "ivnet/gen2/miller.hpp"
 #include "ivnet/gen2/pie.hpp"
 #include "ivnet/gen2/tag_sm.hpp"
 #include "ivnet/impair/impairment.hpp"
 #include "ivnet/impair/recovery.hpp"
-#include "ivnet/impair/waterfall.hpp"
 #include "ivnet/obs/obs.hpp"
 #include "ivnet/reader/inventory.hpp"
 #include "ivnet/signal/gauss.hpp"
@@ -39,23 +44,55 @@ namespace {
 std::size_t g_default_batch_override = 0;
 bool g_default_batch_overridden = false;
 
-/// Uplink SNR budget — the same expression as the scalar session and
-/// waterfall oracles (array gain once, tissue loss twice for the
-/// backscatter round trip).
-double uplink_budget_db(const ImpairedLinkConfig& link) {
-  const double array_gain_db =
-      10.0 * std::log10(static_cast<double>(
-                 std::max<std::size_t>(1, link.num_antennas)));
-  return link.snr_db + array_gain_db - 2.0 * link.medium_loss_db;
+/// Coherent array gain of the link's antennas [dB].
+double array_gain_db(const ImpairedLinkConfig& link) {
+  return 10.0 * std::log10(static_cast<double>(
+                    std::max<std::size_t>(1, link.num_antennas)));
 }
 
-/// One lane needing an AWGN fill this round: `src` holds the clean record
-/// (often a shared cached envelope), `dst` is the lane's rx buffer (write
-/// target; may alias src for in-place fills), and `rng` is the lane's
-/// attempt stream positioned exactly where the scalar path's apply_awgn
-/// call site would be. Writing fma(sigma, g, src[i]) straight to dst is
-/// bitwise-identical to the scalar copy-then-add-in-place sequence and
-/// skips one full pass over the record.
+/// Uplink SNR budget: array gain once, tissue loss twice (the backscatter
+/// round trip crosses the tissue both ways).
+double uplink_budget_db(const ImpairedLinkConfig& link) {
+  return link.snr_db + array_gain_db(link) - 2.0 * link.medium_loss_db;
+}
+
+std::vector<double> modulate_uplink(const ImpairedLinkConfig& link,
+                                    const gen2::Bits& bits) {
+  return link.uplink == gen2::Miller::kFm0
+             ? gen2::fm0_modulate(bits, link.blf_hz, link.sample_rate_hz)
+             : gen2::miller_modulate(link.uplink, bits, link.blf_hz,
+                                     link.sample_rate_hz);
+}
+
+/// The reader's uplink decode; `valid` also requires all `num_bits` bits.
+struct UplinkDecode {
+  bool valid = false;
+  gen2::Bits bits;
+  double correlation = 0.0;
+};
+
+UplinkDecode decode_uplink(const ImpairedLinkConfig& link,
+                           std::span<const double> rx, std::size_t num_bits) {
+  const double fs = link.sample_rate_hz;
+  UplinkDecode out;
+  if (link.uplink == gen2::Miller::kFm0) {
+    auto d = gen2::fm0_decode(rx, num_bits, link.blf_hz, fs,
+                              link.min_correlation);
+    out = {d.valid, std::move(d.bits), d.preamble_correlation};
+  } else {
+    auto d = gen2::miller_decode(link.uplink, rx, num_bits, link.blf_hz, fs,
+                                 link.min_correlation);
+    out = {d.valid, std::move(d.bits), d.preamble_correlation};
+  }
+  out.valid = out.valid && out.bits.size() == num_bits;
+  return out;
+}
+
+/// One lane needing an AWGN fill this round: `src` holds the record before
+/// noise (often a shared cached envelope), `dst` is the lane's rx buffer
+/// (may alias src for in-place fills), and `rng` is the lane's attempt
+/// stream. Writing fma(sigma, g, src[i]) straight to dst is bitwise-
+/// identical to a copy followed by apply_awgn's in-place add.
 struct FillSlot {
   Rng* rng;
   double sigma;
@@ -64,10 +101,11 @@ struct FillSlot {
   std::size_t size;
 };
 
-/// Lockstep AWGN over a round's fill slots: lanes whose records have equal
-/// length go through the packed sampler in groups of kGaussLanes;
-/// leftovers and odd sizes take the scalar loop. Any grouping is bitwise-safe — each lane draws
-/// only from its own stream — so grouping is purely a throughput decision.
+/// AWGN over a round's fill slots: lanes whose records have equal length
+/// go through the packed sampler in groups of kGaussLanes; leftovers and
+/// odd sizes take the scalar loop. Any grouping is bitwise-safe — each
+/// lane draws only from its own stream — so grouping is purely a
+/// throughput decision.
 void fill_awgn_groups(std::vector<FillSlot>& slots) {
   std::stable_sort(slots.begin(), slots.end(),
                    [](const FillSlot& a, const FillSlot& b) {
@@ -103,9 +141,37 @@ void fill_awgn_groups(std::vector<FillSlot>& slots) {
   slots.clear();
 }
 
-/// Session telemetry identical to the scalar oracle's SessionTelemetry
-/// destructor — emitted once per lane at completion, so metrics snapshots
-/// match the scalar path (counters/histograms are order-independent).
+/// Make `rx` the record `clean` as received through `chain`, minus the
+/// AWGN, which is queued on `fills`. With `shared` (lockstep_batchable:
+/// the chain has no stage before AWGN) the noise is written straight from
+/// `clean` at its cached power `clean_power`; otherwise rx becomes `clean`
+/// through the chain's pre-AWGN stages on `rng`, and the noise lands in
+/// place at the impaired record's power — ImpairmentChain::apply's order.
+/// `clean` may be `rx` itself.
+void stage_record(std::vector<double>& rx, const std::vector<double>& clean,
+                  double clean_power, const ImpairmentChain& chain,
+                  bool shared, double fs, Rng& rng, ImpairmentTrace* trace,
+                  std::vector<FillSlot>& fills) {
+  const double snr_db = chain.config().snr_db;
+  if (shared) {
+    const double sigma = awgn_sigma(clean_power, snr_db);
+    if (sigma < 0.0) {
+      if (&rx != &clean) rx.assign(clean.begin(), clean.end());
+      return;
+    }
+    rx.resize(clean.size());
+    fills.push_back({&rng, sigma, clean.data(), rx.data(), rx.size()});
+    return;
+  }
+  chain.apply_before_awgn(clean, rx, fs, rng, trace);
+  const double sigma = awgn_sigma(signal_mean_power(rx), snr_db);
+  if (sigma >= 0.0) {
+    fills.push_back({&rng, sigma, rx.data(), rx.data(), rx.size()});
+  }
+}
+
+/// Per-session telemetry, emitted once per lane when it finishes
+/// (counters/histograms are order-independent).
 void emit_session_telemetry(const LinkSessionReport& report) {
   obs::count("link.sessions");
   obs::count(report.success ? "link.success" : "link.failed");
@@ -113,144 +179,343 @@ void emit_session_telemetry(const LinkSessionReport& report) {
   record_recovery("link", report.recovery);
 }
 
-// ---------------------------------------------------------------------------
-// Lockstep session engine
-// ---------------------------------------------------------------------------
-
-/// Per-batch caches: everything identical across lanes is built once. The
-/// cached values feed the SAME downstream computations the scalar path runs
-/// on its per-trial copies, so caching cannot change results — a Query
-/// envelope depends only on q, the EPC backscatter record only on the EPC.
-struct FastContext {
-  const ImpairedLinkConfig& cfg;
-  double fs;
-  double uplink_snr_db;
-  double downlink_snr_db;
-  double slot_s;
-  gen2::Bits query_rep;
-  std::array<std::vector<double>, 16> query_env;
-  std::array<double, 16> query_env_power{};
-  std::array<bool, 16> query_env_built{};
-  gen2::Bits epc_frame;
-  std::vector<double> epc_tx;
-  double epc_tx_power = -1.0;
-
-  explicit FastContext(const ImpairedLinkConfig& link, const gen2::Bits& epc)
-      : cfg(link), fs(link.sample_rate_hz) {
-    const double array_gain_db =
-        10.0 * std::log10(static_cast<double>(
-                   std::max<std::size_t>(1, link.num_antennas)));
-    uplink_snr_db =
-        link.snr_db + array_gain_db - 2.0 * link.medium_loss_db;
-    downlink_snr_db = link.snr_db + array_gain_db - link.medium_loss_db +
-                      link.downlink_snr_advantage_db;
-    slot_s = 20.0 * link.pie.tari_s;
-    query_rep = gen2::QueryRepCommand{}.encode();
-    epc_frame = gen2::TagStateMachine(epc, 0).epc_frame();
-    epc_tx = gen2::fm0_modulate(epc_frame, link.blf_hz, fs);
-    epc_tx_power = signal_mean_power(epc_tx);
-  }
-
-  const std::vector<double>& query_envelope(std::uint8_t q, double* power) {
-    if (!query_env_built[q]) {
-      query_env[q] = gen2::pie_encode(
-          gen2::QueryCommand{.m = cfg.uplink, .q = q}.encode(), cfg.pie, fs,
-          /*with_preamble=*/true);
-      query_env_power[q] = signal_mean_power(query_env[q]);
-      query_env_built[q] = true;
-    }
-    *power = query_env_power[q];
-    return query_env[q];
-  }
-};
-
 struct Lane {
   std::size_t trial;
-  std::uint64_t base;
+  std::uint64_t base;  ///< attempt streams are Rng::stream(base, counter)
   std::uint64_t attempt_counter = 0;
   LinkSessionReport report;
   gen2::TagStateMachine tag;
   AdaptiveQ adaptive;
+  BrownoutState rail;  ///< capacitor charge carries across the session
   SessionStage stage = SessionStage::kQuery;
+  double stage_t0 = 0.0;
   int attempt = 0;
   std::uint8_t cur_q = 0;
-  gen2::Bits ack;
   std::vector<double> ack_env;
-  double ack_env_power = -1.0;
+  double ack_env_power = 0.0;
+  std::uint32_t track = 0;  ///< sim-trace track and its next sequence
+  std::uint64_t seq = 0;
   // Round scratch.
   Rng att_rng{0};
   std::vector<double> rx;
-  double sigma = -1.0;
   std::optional<gen2::Bits> reply;
   bool done = false;
 
   Lane(std::size_t t, std::uint64_t b, const gen2::Bits& epc,
        const AdaptiveQConfig& qcfg)
-      : trial(t),
-        base(b),
-        tag(epc, b ^ 0x9e3779b97f4a7c15ull),
+      : trial(t), base(b), tag(epc, b ^ 0x9e3779b97f4a7c15ull),
         adaptive(qcfg) {}
+
+  Rng next_rng() { return Rng::stream(base, attempt_counter++); }
 };
 
-void finish_lane(Lane& lane, DspWorkspace& workspace) {
+/// One batch of lanes over one link config. Everything identical across
+/// lanes (the chains, the Query envelopes per q, the EPC reply record) is
+/// built once; caching cannot change results, since a cached record is
+/// exactly the record a lane would build itself.
+class SessionEngine {
+ public:
+  SessionEngine(const ImpairedLinkConfig& link, DspWorkspace& workspace,
+                std::optional<std::uint32_t> track_base)
+      : cfg_(link),
+        policy_(link.recovery),
+        fs_(link.sample_rate_hz),
+        shared_(lockstep_batchable(link)),
+        track_base_(track_base),
+        workspace_(workspace),
+        uplink_(uplink_impairments(link)),
+        downlink_(downlink_impairments(link)),
+        epc_(link.epc.empty() ? default_link_epc() : link.epc),
+        epc_frame_(gen2::TagStateMachine(epc_, 0).epc_frame()),
+        query_rep_(gen2::QueryRepCommand{}.encode()),
+        charge_amp_(link.charge_amplitude_v *
+                    std::sqrt(static_cast<double>(
+                        std::max<std::size_t>(1, link.num_antennas))) *
+                    db_to_amplitude(-link.medium_loss_db)),
+        slot_s_(20.0 * link.pie.tari_s),  // QueryRep + T1 + T3
+        supply_(workspace.acquire_real(0)) {}
+
+  ~SessionEngine() { workspace_.release(std::move(supply_)); }
+  SessionEngine(const SessionEngine&) = delete;
+  SessionEngine& operator=(const SessionEngine&) = delete;
+
+  void run(std::size_t lo, std::span<const std::uint64_t> bases,
+           const std::function<void(std::size_t, LinkSessionReport&)>& sink);
+
+ private:
+  static ImpairmentChain uplink_impairments(const ImpairedLinkConfig& link) {
+    ImpairmentConfig im = link.impair;
+    im.snr_db = uplink_budget_db(link);
+    return ImpairmentChain(im);
+  }
+  /// The tag's envelope detector has no mixer: the downlink sees the
+  /// shared medium (bursts, noise) but not the reader-RX oscillator
+  /// impairments, and it sits downlink_snr_advantage_db above the uplink.
+  static ImpairmentChain downlink_impairments(const ImpairedLinkConfig& link) {
+    ImpairmentConfig im;
+    im.snr_db = link.snr_db + array_gain_db(link) - link.medium_loss_db +
+                link.downlink_snr_advantage_db;
+    im.bursts = link.impair.bursts;
+    return ImpairmentChain(im);
+  }
+
+  void charge(Lane& lane);
+  void begin_stage(Lane& lane, SessionStage stage);
+  void end_attempt(Lane& lane);
+  void fail_stage(Lane& lane);
+  void finish(Lane& lane);
+  void send_command(Lane& lane, std::vector<FillSlot>& fills);
+  bool take_reply(Lane& lane, std::vector<FillSlot>& fills);
+  void decode_reply(Lane& lane);
+  const std::vector<double>& query_envelope(std::uint8_t q, double* power);
+  const std::vector<double>& epc_record();
+
+  /// Runs `emit` (sim events) on the lane's own track, resuming its
+  /// sequence, or on the caller's track when the batch has no track base.
+  template <typename Emit>
+  void on_track(Lane& lane, Emit&& emit) {
+    if (obs::tracer() == nullptr) return;
+    if (!track_base_) {
+      emit();
+      return;
+    }
+    obs::ScopedTrack track(lane.track, &lane.seq);
+    emit();
+  }
+
+  const ImpairedLinkConfig& cfg_;
+  const RecoveryPolicy& policy_;
+  const double fs_;
+  const bool shared_;
+  const std::optional<std::uint32_t> track_base_;
+  DspWorkspace& workspace_;
+  const ImpairmentChain uplink_;
+  const ImpairmentChain downlink_;
+  const gen2::Bits epc_;
+  const gen2::Bits epc_frame_;
+  const gen2::Bits query_rep_;
+  const double charge_amp_;
+  const double slot_s_;
+  std::vector<double> supply_;  ///< brownout supply envelope scratch
+  std::array<std::vector<double>, 16> query_env_;
+  std::array<double, 16> query_env_power_{};
+  std::array<bool, 16> query_env_built_{};
+  std::vector<double> epc_tx_;
+  double epc_tx_power_ = 0.0;
+};
+
+const std::vector<double>& SessionEngine::query_envelope(std::uint8_t q,
+                                                         double* power) {
+  // q <= 15: AdaptiveQ rejects any q_max above 15.
+  if (!query_env_built_[q]) {
+    query_env_[q] = gen2::pie_encode(
+        gen2::QueryCommand{.m = cfg_.uplink, .q = q}.encode(), cfg_.pie, fs_,
+        /*with_preamble=*/true);
+    query_env_power_[q] = signal_mean_power(query_env_[q]);
+    query_env_built_[q] = true;
+  }
+  *power = query_env_power_[q];
+  return query_env_[q];
+}
+
+const std::vector<double>& SessionEngine::epc_record() {
+  if (epc_tx_.empty()) {
+    epc_tx_ = modulate_uplink(cfg_, epc_frame_);
+    epc_tx_power_ = signal_mean_power(epc_tx_);
+  }
+  return epc_tx_;
+}
+
+void SessionEngine::charge(Lane& lane) {
+  LinkSessionReport& r = lane.report;
+  const double t0 = r.elapsed_s;
+  r.elapsed_s += cfg_.charge_time_s;
+  if (cfg_.impair.brownout.enabled) {
+    // The transient doubler decides: the supply (with burst fades) must
+    // bring the rail past its recover voltage.
+    Rng charge_rng = lane.next_rng();
+    supply_.assign(static_cast<std::size_t>(cfg_.charge_time_s * fs_),
+                   charge_amp_);
+    apply_burst_erasures(supply_, fs_, cfg_.impair.bursts, charge_rng,
+                         nullptr);
+    const auto gate = brownout_gate(supply_, fs_, cfg_.impair.brownout,
+                                    &r.trace, &lane.rail);
+    r.powered = !gate.empty() && gate.back();
+  } else {
+    // The array/loss-scaled CW amplitude must clear the power-up threshold.
+    r.powered = charge_amp_ >= cfg_.power_up_threshold_v;
+  }
+  on_track(lane, [&] { obs::sim_span("charge", "link", t0, r.elapsed_s); });
+  if (!r.powered) {
+    r.recovery.failed_stage = SessionStage::kCharge;
+    on_track(lane, [&] { obs::sim_instant("brownout", "link", r.elapsed_s); });
+    finish(lane);
+    return;
+  }
+  lane.tag.power_up();
+  begin_stage(lane, SessionStage::kQuery);
+}
+
+void SessionEngine::begin_stage(Lane& lane, SessionStage stage) {
+  lane.stage = stage;
+  lane.attempt = 0;
+  lane.stage_t0 = lane.report.elapsed_s;
+  if (policy_.max_attempts < 1) fail_stage(lane);
+}
+
+void SessionEngine::end_attempt(Lane& lane) {
+  if (++lane.attempt >= policy_.max_attempts) fail_stage(lane);
+}
+
+void SessionEngine::fail_stage(Lane& lane) {
+  lane.report.recovery.failed_stage = lane.stage;
+  on_track(lane, [&] {
+    obs::sim_span(to_string(lane.stage), "link", lane.stage_t0,
+                  lane.report.elapsed_s);
+  });
+  finish(lane);
+}
+
+void SessionEngine::finish(Lane& lane) {
   emit_session_telemetry(lane.report);
-  workspace.release(std::move(lane.rx));
+  workspace_.release(std::move(lane.rx));
   lane.rx = std::vector<double>();
   lane.done = true;
 }
 
-void fail_lane_if_exhausted(Lane& lane, const RecoveryPolicy& policy,
-                            DspWorkspace& workspace) {
-  ++lane.attempt;
-  if (lane.attempt >= policy.max_attempts) {
-    lane.report.recovery.failed_stage = lane.stage;
-    finish_lane(lane, workspace);
+// Phase A: retry bookkeeping, attempt stream, command envelope, downlink.
+void SessionEngine::send_command(Lane& lane, std::vector<FillSlot>& fills) {
+  LinkSessionReport& r = lane.report;
+  if (lane.attempt > 0) {
+    const double backoff = policy_.backoff_for_attempt(lane.attempt - 1);
+    r.recovery.backoff_total_s += backoff;
+    r.elapsed_s += backoff;
+    ++r.recovery.retries;
+    if (obs::metrics() != nullptr) {
+      std::string key = "link.retry.";
+      key += to_string(lane.stage);
+      obs::count(key);
+      obs::observe("link.backoff_s", backoff);
+    }
+    on_track(lane, [&] { obs::sim_instant("retry", "link", r.elapsed_s); });
   }
+  lane.att_rng = lane.next_rng();
+  double power = 0.0;
+  const std::vector<double>* env = &lane.ack_env;
+  if (lane.stage == SessionStage::kQuery) {
+    lane.cur_q = lane.adaptive.q();
+    env = &query_envelope(lane.cur_q, &power);
+  } else {
+    power = lane.ack_env_power;
+  }
+  r.elapsed_s += static_cast<double>(env->size()) / fs_;
+  ++r.commands_sent;
+  stage_record(lane.rx, *env, power, downlink_, shared_, fs_, lane.att_rng,
+               nullptr, fills);
 }
 
-void run_lockstep_session_batch(
-    const ImpairedLinkConfig& cfg, std::uint64_t base_seed,
-    std::uint64_t stream_stride, std::uint64_t stream_offset, std::size_t lo,
-    std::size_t hi, DspWorkspace& workspace,
-    const std::function<void(std::size_t, const SessionOutcome&)>& sink) {
-  const gen2::Bits epc = cfg.epc.empty() ? default_link_epc() : cfg.epc;
-  FastContext ctx(cfg, epc);
-  const RecoveryPolicy& policy = cfg.recovery;
+// Phase C: envelope slicer, tag, slot chase, and the uplink record. Returns
+// whether the tag replied (its record is then queued for the uplink fill).
+bool SessionEngine::take_reply(Lane& lane, std::vector<FillSlot>& fills) {
+  LinkSessionReport& r = lane.report;
+  const bool is_query = lane.stage == SessionStage::kQuery;
+  const auto sliced = gen2::pie_decode(lane.rx, fs_);
+  lane.reply.reset();
+  if (sliced.valid) lane.reply = lane.tag.on_command(sliced.bits);
+  if (is_query && !lane.reply) {
+    // Chase the frame's remaining slots with QueryReps (short, robust
+    // commands — modeled at the bit level).
+    const auto slots = std::size_t{1} << lane.cur_q;
+    for (std::size_t s = 1; s < slots && !lane.reply; ++s) {
+      lane.adaptive.on_empty();
+      r.elapsed_s += slot_s_;
+      lane.reply = lane.tag.on_command(query_rep_);
+    }
+  }
+  if (is_query) r.recovery.q_trajectory.push_back(lane.adaptive.q());
+  if (!lane.reply) {
+    // Silent tag: the reader waits out the reply window.
+    ++r.recovery.timeouts;
+    r.elapsed_s += policy_.command_timeout_s;
+    if (is_query) lane.adaptive.on_empty();
+    end_attempt(lane);
+    return false;
+  }
+  if (*lane.reply == epc_frame_) {
+    const std::vector<double>& tx = epc_record();
+    r.elapsed_s += static_cast<double>(tx.size()) / fs_;
+    stage_record(lane.rx, tx, epc_tx_power_, uplink_, shared_, fs_,
+                 lane.att_rng, &r.trace, fills);
+  } else {
+    lane.rx = modulate_uplink(cfg_, *lane.reply);
+    r.elapsed_s += static_cast<double>(lane.rx.size()) / fs_;
+    stage_record(lane.rx, lane.rx, shared_ ? signal_mean_power(lane.rx) : 0.0,
+                 uplink_, shared_, fs_, lane.att_rng, &r.trace, fills);
+  }
+  return true;
+}
 
-  // Charge outcome is config-determined on this path (brownout is gated to
-  // the scalar fallback): same amplitude test as the oracle, no rng draw.
-  const double charge_amp =
-      cfg.charge_amplitude_v *
-      std::sqrt(static_cast<double>(
-          std::max<std::size_t>(1, cfg.num_antennas))) *
-      db_to_amplitude(-cfg.medium_loss_db);
-  const bool powered = charge_amp >= cfg.power_up_threshold_v;
+// Phase E: brownout reply gate, reader decode, stage transitions.
+void SessionEngine::decode_reply(Lane& lane) {
+  LinkSessionReport& r = lane.report;
+  if (cfg_.impair.brownout.enabled) {
+    // The rail sags while the tag modulates: gate the reflection through
+    // the doubler, resuming from the rail the charge window left behind
+    // (replies don't discharge each other).
+    supply_.assign(lane.rx.size(), charge_amp_);
+    apply_burst_erasures(supply_, fs_, cfg_.impair.bursts, lane.att_rng,
+                         nullptr);
+    BrownoutState reply_rail = lane.rail;
+    apply_brownout(lane.rx, brownout_gate(supply_, fs_, cfg_.impair.brownout,
+                                          &r.trace, &reply_rail));
+  }
+  const bool is_query = lane.stage == SessionStage::kQuery;
+  const UplinkDecode d = decode_uplink(cfg_, lane.rx, lane.reply->size());
+  r.last_correlation = d.correlation;
+  if (!d.valid) {
+    // Garbled reply: indistinguishable from a collision at the reader.
+    obs::count("link.decode.fail");
+    if (is_query) lane.adaptive.on_collision();
+    end_attempt(lane);
+    return;
+  }
+  obs::count("link.decode.ok");
+  if (is_query) lane.adaptive.on_single();
+  on_track(lane, [&] {
+    obs::sim_span(to_string(lane.stage), "link", lane.stage_t0, r.elapsed_s);
+  });
+  if (is_query) {
+    r.rn16 = static_cast<std::uint16_t>(gen2::read_bits(d.bits, 0, 16));
+    lane.ack_env = gen2::pie_encode(gen2::AckCommand{.rn16 = r.rn16}.encode(),
+                                    cfg_.pie, fs_, /*with_preamble=*/false);
+    lane.ack_env_power = signal_mean_power(lane.ack_env);
+    begin_stage(lane, SessionStage::kAck);
+    return;
+  }
+  // EPC frame: PC + EPC + CRC16.
+  if (d.bits.size() < 32 || !gen2::check_crc16(d.bits)) {
+    r.recovery.failed_stage = SessionStage::kAck;
+  } else {
+    r.epc = gen2::Bits(d.bits.begin() + 16, d.bits.end() - 16);
+    r.success = true;
+  }
+  finish(lane);
+}
 
+void SessionEngine::run(
+    std::size_t lo, std::span<const std::uint64_t> bases,
+    const std::function<void(std::size_t, LinkSessionReport&)>& sink) {
+  obs::count(shared_ ? "batch.lockstep_trials" : "batch.fallback_trials",
+             bases.size());
   std::vector<Lane> lanes;
-  lanes.reserve(hi - lo);
-  for (std::size_t t = lo; t < hi; ++t) {
-    // The oracle consumes exactly ONE draw from the caller's trial stream
-    // (the session's attempt-stream base); replicate that here.
-    Rng trial_rng =
-        Rng::stream(base_seed, stream_offset + stream_stride * t);
-    const std::uint64_t base = trial_rng();
-    lanes.emplace_back(t, base, epc, cfg.adaptive_q);
-    Lane& lane = lanes.back();
-    lane.rx = workspace.acquire_real(0);
-    lane.report.elapsed_s += cfg.charge_time_s;
-    lane.report.powered = powered;
-    if (!powered) {
-      lane.report.recovery.failed_stage = SessionStage::kCharge;
-      finish_lane(lane, workspace);
-      continue;
+  lanes.reserve(bases.size());
+  for (std::size_t k = 0; k < bases.size(); ++k) {
+    Lane& lane = lanes.emplace_back(lo + k, bases[k], epc_, cfg_.adaptive_q);
+    if (track_base_) {
+      lane.track = *track_base_ + static_cast<std::uint32_t>(lane.trial);
     }
-    lane.tag.power_up();
-    if (policy.max_attempts < 1) {
-      // The oracle's attempt loop never runs: the Query stage fails with
-      // zero commands sent.
-      lane.report.recovery.failed_stage = SessionStage::kQuery;
-      finish_lane(lane, workspace);
-    }
+    lane.rx = workspace_.acquire_real(0);
+    charge(lane);
   }
 
   std::vector<Lane*> active;
@@ -262,144 +527,16 @@ void run_lockstep_session_batch(
       if (!lane.done) active.push_back(&lane);
     }
     if (active.empty()) break;
-
-    // Phase A — retry bookkeeping, attempt stream, command envelope, and
-    // the downlink fill slot (noise is written straight from the shared
-    // clean envelope into the lane's rx buffer).
-    for (Lane* lane : active) {
-      if (lane->attempt > 0) {
-        const double backoff = policy.backoff_for_attempt(lane->attempt - 1);
-        lane->report.recovery.backoff_total_s += backoff;
-        lane->report.elapsed_s += backoff;
-        ++lane->report.recovery.retries;
-        if (obs::metrics() != nullptr) {
-          std::string key = "link.retry.";
-          key += to_string(lane->stage);
-          obs::count(key);
-          obs::observe("link.backoff_s", backoff);
-        }
-      }
-      lane->att_rng = Rng::stream(lane->base, lane->attempt_counter++);
-      double power = -1.0;
-      const std::vector<double>* env = nullptr;
-      if (lane->stage == SessionStage::kQuery) {
-        lane->cur_q = lane->adaptive.q();
-        env = &ctx.query_envelope(lane->cur_q, &power);
-      } else {
-        env = &lane->ack_env;
-        power = lane->ack_env_power;
-      }
-      lane->report.elapsed_s += static_cast<double>(env->size()) / ctx.fs;
-      ++lane->report.commands_sent;
-      lane->sigma = awgn_sigma(power, ctx.downlink_snr_db);
-      if (lane->sigma >= 0.0) {
-        // Noise lands straight on the shared cached envelope: rx is sized
-        // but not copied into (the fill writes every sample).
-        lane->rx.resize(env->size());
-        fills.push_back({&lane->att_rng, lane->sigma, env->data(),
-                         lane->rx.data(), env->size()});
-      } else {
-        lane->rx.assign(env->begin(), env->end());
-      }
-    }
+    for (Lane* lane : active) send_command(*lane, fills);
     fill_awgn_groups(fills);
-
-    // Phase C — envelope slicing, tag state machine, slot chase, and the
-    // clean uplink record for lanes whose tag replied.
     replied.clear();
     for (Lane* lane : active) {
-      const auto sliced = gen2::pie_decode(lane->rx, ctx.fs);
-      lane->reply.reset();
-      if (sliced.valid) lane->reply = lane->tag.on_command(sliced.bits);
-      const bool is_query = lane->stage == SessionStage::kQuery;
-      if (is_query && !lane->reply) {
-        const auto slots = std::size_t{1} << lane->cur_q;
-        for (std::size_t s = 1; s < slots && !lane->reply; ++s) {
-          lane->adaptive.on_empty();
-          lane->report.elapsed_s += ctx.slot_s;
-          lane->reply = lane->tag.on_command(ctx.query_rep);
-        }
-      }
-      if (is_query) {
-        lane->report.recovery.q_trajectory.push_back(lane->adaptive.q());
-      }
-      if (!lane->reply) {
-        ++lane->report.recovery.timeouts;
-        lane->report.elapsed_s += policy.command_timeout_s;
-        if (is_query) lane->adaptive.on_empty();
-        fail_lane_if_exhausted(*lane, policy, workspace);
-        continue;
-      }
-      if (!is_query && *lane->reply == ctx.epc_frame) {
-        lane->report.elapsed_s +=
-            static_cast<double>(ctx.epc_tx.size()) / ctx.fs;
-        lane->sigma = awgn_sigma(ctx.epc_tx_power, ctx.uplink_snr_db);
-        if (lane->sigma >= 0.0) {
-          lane->rx.resize(ctx.epc_tx.size());
-          fills.push_back({&lane->att_rng, lane->sigma, ctx.epc_tx.data(),
-                           lane->rx.data(), ctx.epc_tx.size()});
-        } else {
-          lane->rx.assign(ctx.epc_tx.begin(), ctx.epc_tx.end());
-        }
-      } else {
-        // The modulated reply becomes the rx buffer directly; noise lands
-        // in place.
-        lane->rx = gen2::fm0_modulate(*lane->reply, cfg.blf_hz, ctx.fs);
-        lane->report.elapsed_s +=
-            static_cast<double>(lane->rx.size()) / ctx.fs;
-        lane->sigma = awgn_sigma(signal_mean_power(lane->rx),
-                                 ctx.uplink_snr_db);
-        if (lane->sigma >= 0.0) {
-          fills.push_back({&lane->att_rng, lane->sigma, lane->rx.data(),
-                           lane->rx.data(), lane->rx.size()});
-        }
-      }
-      replied.push_back(lane);
+      if (take_reply(*lane, fills)) replied.push_back(lane);
     }
     fill_awgn_groups(fills);
-
-    // Phase E — backscatter decode and stage transitions.
-    for (Lane* lane : replied) {
-      const auto d =
-          gen2::fm0_decode(lane->rx, lane->reply->size(), cfg.blf_hz, ctx.fs,
-                           cfg.min_correlation);
-      lane->report.last_correlation = d.preamble_correlation;
-      const bool is_query = lane->stage == SessionStage::kQuery;
-      if (!d.valid || d.bits.size() != lane->reply->size()) {
-        obs::count("link.decode.fail");
-        if (is_query) lane->adaptive.on_collision();
-        fail_lane_if_exhausted(*lane, policy, workspace);
-        continue;
-      }
-      obs::count("link.decode.ok");
-      if (is_query) {
-        lane->adaptive.on_single();
-        lane->report.rn16 =
-            static_cast<std::uint16_t>(gen2::read_bits(d.bits, 0, 16));
-        lane->ack = gen2::AckCommand{.rn16 = lane->report.rn16}.encode();
-        lane->ack_env =
-            gen2::pie_encode(lane->ack, cfg.pie, ctx.fs,
-                             /*with_preamble=*/false);
-        lane->ack_env_power = signal_mean_power(lane->ack_env);
-        lane->stage = SessionStage::kAck;
-        lane->attempt = 0;
-        continue;
-      }
-      const gen2::Bits& frame = d.bits;
-      if (frame.size() < 32 || !gen2::check_crc16(frame)) {
-        lane->report.recovery.failed_stage = SessionStage::kAck;
-        finish_lane(*lane, workspace);
-        continue;
-      }
-      lane->report.epc = gen2::Bits(frame.begin() + 16, frame.end() - 16);
-      lane->report.success = true;
-      finish_lane(*lane, workspace);
-    }
+    for (Lane* lane : replied) decode_reply(*lane);
   }
-
-  for (const Lane& lane : lanes) {
-    sink(lane.trial, session_outcome_of(lane.report));
-  }
+  for (Lane& lane : lanes) sink(lane.trial, lane.report);
 }
 
 }  // namespace
@@ -412,7 +549,7 @@ std::size_t default_batch_size() {
     if (const char* env = std::getenv("IVNET_BATCH")) {
       // Strict full-string parse, like parse_thread_count: trailing garbage
       // ("32abc") or an out-of-range value must not half-apply or silently
-      // vanish — warn once and fall back to the scalar path.
+      // vanish — warn once and fall back to batch size 1.
       char* end = nullptr;
       errno = 0;
       const unsigned long v = std::strtoul(env, &end, 10);
@@ -466,28 +603,34 @@ bool lockstep_batchable(const ImpairedLinkConfig& link) {
          im.cfo_phase_rad == 0.0 && im.phase_noise_linewidth_hz == 0.0 &&
          im.clock_drift_ppm == 0.0 &&
          (im.bursts.rate_hz <= 0.0 || im.bursts.mean_duration_s <= 0.0) &&
-         !im.brownout.enabled && link.adaptive_q.q_max <= 15;
+         !im.brownout.enabled;
+}
+
+void run_session_lanes(
+    const ImpairedLinkConfig& link, std::size_t lo,
+    std::span<const std::uint64_t> bases, DspWorkspace& workspace,
+    std::optional<std::uint32_t> track_base,
+    const std::function<void(std::size_t, LinkSessionReport&)>& sink) {
+  if (bases.empty()) return;
+  SessionEngine(link, workspace, track_base).run(lo, bases, sink);
 }
 
 void run_session_batch(
     const ImpairedLinkConfig& link, std::uint64_t base_seed,
     std::uint64_t stream_stride, std::uint64_t stream_offset, std::size_t lo,
     std::size_t hi, DspWorkspace& workspace,
-    const std::function<void(std::size_t, const SessionOutcome&)>& sink) {
+    const std::function<void(std::size_t, const SessionOutcome&)>& sink,
+    std::optional<std::uint32_t> track_base) {
   if (hi <= lo) return;
-  if (lockstep_batchable(link)) {
-    obs::count("batch.lockstep_trials", hi - lo);
-    run_lockstep_session_batch(link, base_seed, stream_stride, stream_offset,
-                               lo, hi, workspace, sink);
-    return;
+  // A session takes exactly ONE draw from its trial stream.
+  std::vector<std::uint64_t> bases(hi - lo);
+  for (std::size_t k = 0; k < bases.size(); ++k) {
+    bases[k] = Rng::stream(base_seed, stream_offset + stream_stride * (lo + k))();
   }
-  // Configs the lane engine cannot run in lockstep execute the scalar
-  // oracle per lane — still batch-dispatched, so the knob stays safe.
-  obs::count("batch.fallback_trials", hi - lo);
-  for (std::size_t t = lo; t < hi; ++t) {
-    Rng trial_rng = Rng::stream(base_seed, stream_offset + stream_stride * t);
-    sink(t, session_outcome_of(run_impaired_link_session(link, trial_rng)));
-  }
+  run_session_lanes(link, lo, bases, workspace, track_base,
+                    [&](std::size_t t, LinkSessionReport& report) {
+                      sink(t, session_outcome_of(report));
+                    });
 }
 
 void run_ber_batch(
@@ -497,29 +640,17 @@ void run_ber_batch(
     DspWorkspace& workspace,
     const std::function<void(std::size_t, const BerOutcome&)>& sink) {
   if (hi <= lo) return;
-  if (!lockstep_batchable(link)) {
-    obs::count("batch.fallback_trials", hi - lo);
-    for (std::size_t t = lo; t < hi; ++t) {
-      const auto probe = ber_probe_trial(
-          link, payload_bits,
-          Rng::stream(base_seed, stream_offset + stream_stride * t));
-      BerOutcome out;
-      out.bit_errors = probe.bit_errors;
-      out.frame_error = probe.frame_error ? 1 : 0;
-      sink(t, out);
-    }
-    return;
-  }
-  obs::count("batch.lockstep_trials", hi - lo);
-
+  obs::count(lockstep_batchable(link) ? "batch.lockstep_trials"
+                                      : "batch.fallback_trials",
+             hi - lo);
+  ImpairmentConfig impair = link.impair;
+  impair.snr_db = uplink_budget_db(link);
+  const ImpairmentChain chain(impair);
   struct BerLane {
     Rng rng{0};
     gen2::Bits payload;
     std::vector<double> rx;
-    double sigma = -1.0;
   };
-  const double fs = link.sample_rate_hz;
-  const double budget_db = uplink_budget_db(link);
   std::vector<BerLane> lanes(hi - lo);
   std::vector<FillSlot> fills;
   fills.reserve(lanes.size());
@@ -527,24 +658,19 @@ void run_ber_batch(
     BerLane& lane = lanes[k];
     lane.rng = Rng::stream(base_seed, stream_offset + stream_stride * (lo + k));
     lane.payload.resize(payload_bits);
-    // The oracle's payload loop, verbatim: one raw draw per bit.
     for (auto&& b : lane.payload) b = (lane.rng() & 1u) != 0;
-    // The modulated frame becomes the rx buffer directly; noise lands in
-    // place (same bytes as the oracle's copy-then-add sequence).
-    lane.rx = gen2::fm0_modulate(lane.payload, link.blf_hz, fs);
-    lane.sigma = awgn_sigma(signal_mean_power(lane.rx), budget_db);
-    if (lane.sigma >= 0.0) {
-      fills.push_back({&lane.rng, lane.sigma, lane.rx.data(), lane.rx.data(),
-                       lane.rx.size()});
-    }
+    // The modulated frame is the clean record; its impairments and noise
+    // land in place.
+    lane.rx = modulate_uplink(link, lane.payload);
+    stage_record(lane.rx, lane.rx, 0.0, chain, /*shared=*/false,
+                 link.sample_rate_hz, lane.rng, nullptr, fills);
   }
   fill_awgn_groups(fills);
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     BerLane& lane = lanes[k];
-    const auto d = gen2::fm0_decode(lane.rx, payload_bits, link.blf_hz, fs,
-                                    link.min_correlation);
+    const UplinkDecode d = decode_uplink(link, lane.rx, payload_bits);
     BerOutcome out;
-    if (!d.valid || d.bits.size() != payload_bits) {
+    if (!d.valid) {
       out.bit_errors = payload_bits / 2;
       out.frame_error = 1;
     } else {

@@ -1,47 +1,43 @@
-// Batched run-to-completion trial pipeline.
+// The impaired Gen2 session engine, and the batch machinery around it.
 //
-// The Monte-Carlo consumers (BER/PER waterfalls, the media x SNR x antennas
-// session matrix, sim/experiment's trial loops) historically ran one trial
-// at a time: charge -> Query -> backscatter -> decode, serially, with
-// per-trial overheads (stage dispatch, workspace checkout, RNG setup,
-// per-trial report structs) paid once per session. This engine runs K
-// independent trials *together* in the NDN-DPDK burst style: a batch of
-// lane states advances round by round through the same stages, the AWGN
-// fills of lanes whose records have equal length are generated in lockstep
-// SIMD lanes (signal/gauss.hpp), one DspWorkspace arena is checked out per
-// batch rather than per trial, and per-trial results land in plain-old-data
-// SessionOutcome slots that the caller folds batch-at-a-time.
+// One engine runs every impaired session in the repo: the charge -> Query
+// -> RN16 -> ACK -> EPC dialogue with retries, adaptive Q, either uplink
+// (FM0 or Miller), every impairment (drift, CFO, phase noise, bursts,
+// AWGN) and the brownout charge and reply gates. It advances K lanes
+// (independent trials) round by round through the same stages, in the
+// NDN-DPDK burst style; K = 1 is a lone session, and
+// run_impaired_link_session (impair/link_session.hpp) is exactly that
+// call. Per round, each lane runs its own stages before AWGN on its own
+// attempt stream (ImpairmentChain::apply_before_awgn), then the AWGN
+// fills of lanes whose records have equal length are generated together
+// in SIMD lanes (signal/gauss.hpp). One DspWorkspace arena serves a whole
+// batch, and per-trial results land in plain-old-data SessionOutcome
+// slots the caller folds batch-at-a-time.
 //
-// Determinism contract (the whole point): per-trial Rng::stream seeds are
-// assigned up front from (base_seed, stream_offset + stream_stride * t), and
-// every lane replays the EXACT operation sequence of the scalar oracle
-// (run_impaired_link_session / waterfall's ber_trial), so outcomes are
-// bitwise-identical to the scalar path at any batch size and any thread
-// count. batch_pipeline_test pins this memcmp-strict across batch sizes
-// {1, 2, 7, 32, 129} and ragged trial counts; determinism_test pins the
-// batched waterfall/matrix JSON across 1/2/8-thread pools.
+// Determinism contract: trial t draws from Rng::stream(base_seed,
+// stream_offset + stream_stride * t), and each lane only ever draws from
+// its own streams, so outcomes are bitwise-identical at any batch size
+// and any thread count. session_golden_test pins the engine's outputs
+// (SessionOutcome bytes, EPC, Q trajectory, impairment trace, BER-probe
+// outcomes, sweep JSON and the sim trace) as frozen digests taken from
+// the retired one-trial-at-a-time implementation; batch_pipeline_test and
+// determinism_test pin invariance across batch sizes and pool sizes.
 //
-// Scalar-oracle policy (signal/naive_dsp.hpp style): batch_size <= 1 means
-// the caller keeps the original one-trial-at-a-time code path, which stays
-// in-tree verbatim as the oracle the batched engine is pinned against.
-//
-// Configs the lane engine cannot run in lockstep (Miller uplinks, burst
-// erasures, CFO/phase/drift impairments, brownout) transparently fall back
-// to the scalar oracle per lane — still batch-dispatched and workspace-
-// pooled, so the batch knob is always safe to enable.
-//
-// Observability trade: the batched path emits the same order-independent
-// per-trial counters/histograms as the scalar path (link.sessions,
-// link.success/failed, link.elapsed_s, link.decode.*, recovery histograms)
-// plus batch-level spans and counters (batch.trials, batch.dispatches,
-// workspace.high_water_bytes) — but it does NOT emit the scalar path's
-// per-trial sim-trace spans/tracks (a K-lane wavefront has no single
-// per-trial timeline). Use batch_size 1 when per-trial traces matter.
+// Observability: each lane emits its sim-time spans and instants on its
+// own trace track with its own sequence counter (the track ids of the
+// sweeps are point_index * trials + t), so a sim trace is byte-identical
+// at any batch size. Per-trial counters and histograms (link.sessions,
+// link.success/failed, link.elapsed_s, link.decode.*, recovery
+// histograms) are order-independent; batch-level counters (batch.trials,
+// batch.dispatches, batch.lockstep_trials / batch.fallback_trials) and the
+// workspace.high_water_bytes gauge describe the dispatch.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "ivnet/common/parallel.hpp"
@@ -50,16 +46,16 @@
 
 namespace ivnet {
 
-/// Batch-size knob carried by the throughput-workload configs. 0 defers to
-/// default_batch_size() (the IVNET_BATCH environment variable or a
-/// set_default_batch_size override), so existing call sites behave exactly
-/// as before unless a batch size is requested somewhere.
+/// Lanes per engine batch, carried by the sweep configs: a speed knob only,
+/// output bytes are the same at any value. 0 defers to
+/// default_batch_size() (a set_default_batch_size override or the
+/// IVNET_BATCH environment variable).
 struct BatchConfig {
   std::size_t batch_size = 0;
 };
 
 /// Process-wide default batch size: set_default_batch_size() override if
-/// any, else IVNET_BATCH (when set and valid), else 1 (scalar oracle).
+/// any, else IVNET_BATCH (when set and valid), else 1.
 std::size_t default_batch_size();
 
 /// Override the process default (0 restores the IVNET_BATCH/1 behavior).
@@ -70,8 +66,8 @@ void set_default_batch_size(std::size_t batch_size);
 /// The batch size a config resolves to (>= 1).
 std::size_t resolve_batch_size(const BatchConfig& config);
 
-/// POD projection of LinkSessionReport for memcmp-strict batched-vs-scalar
-/// pinning and SoA-style batch accumulation. Fixed-width fields ordered
+/// POD projection of LinkSessionReport for memcmp-strict pinning and
+/// SoA-style batch accumulation. Fixed-width fields ordered
 /// widest-first with explicit tail padding: no implicit padding bytes, so
 /// aggregate-initialized instances compare reliably with std::memcmp.
 struct SessionOutcome {
@@ -97,24 +93,43 @@ struct BerOutcome {
 };
 static_assert(sizeof(BerOutcome) == 16, "BerOutcome must be packed");
 
-/// The scalar oracle's report projected onto the POD outcome.
+/// A session report projected onto the POD outcome.
 SessionOutcome session_outcome_of(const LinkSessionReport& report);
 
-/// Run session trials [lo, hi) as one batch of lockstep lanes. Trial t uses
-/// Rng::stream(base_seed, stream_offset + stream_stride * t) — the exact
-/// stream layout of the scalar call sites (waterfall sessions: stride 2,
-/// offset 1; matrix/depth sweeps: stride 1, offset 0). `workspace` is the
-/// batch's arena (one per batch, not per trial). `sink(t, outcome)` is
-/// invoked once per trial in ascending trial order after the batch
-/// completes.
+/// The session engine: one lane per entry of `bases`. Lane k is trial
+/// lo + k, and bases[k] is the one draw the session takes from its trial
+/// stream (every command attempt derives its own counter-keyed stream from
+/// it). With a `track_base`, lane k's sim events land on track
+/// *track_base + lo + k with a fresh sequence counter; without one, every
+/// lane emits on the caller's current track (for K = 1 exactly a lone
+/// session's timeline). `sink(lo + k, report)` runs once per lane, in
+/// ascending trial order, after the batch completes. Throws
+/// std::invalid_argument for an invalid link.adaptive_q (see AdaptiveQ).
+void run_session_lanes(
+    const ImpairedLinkConfig& link, std::size_t lo,
+    std::span<const std::uint64_t> bases, DspWorkspace& workspace,
+    std::optional<std::uint32_t> track_base,
+    const std::function<void(std::size_t, LinkSessionReport&)>& sink);
+
+/// Run session trials [lo, hi) as one batch of lanes. Trial t uses
+/// Rng::stream(base_seed, stream_offset + stream_stride * t) (waterfall
+/// sessions: stride 2, offset 1; matrix/depth sweeps: stride 1, offset 0).
+/// `workspace` is the batch's arena (one per batch, not per trial).
+/// `sink(t, outcome)` is invoked once per trial in ascending trial order
+/// after the batch completes; `track_base` as in run_session_lanes.
 void run_session_batch(
     const ImpairedLinkConfig& link, std::uint64_t base_seed,
     std::uint64_t stream_stride, std::uint64_t stream_offset, std::size_t lo,
     std::size_t hi, DspWorkspace& workspace,
-    const std::function<void(std::size_t, const SessionOutcome&)>& sink);
+    const std::function<void(std::size_t, const SessionOutcome&)>& sink,
+    std::optional<std::uint32_t> track_base = std::nullopt);
 
-/// Run BER-probe trials [lo, hi) as one batch (waterfall even streams:
-/// stride 2, offset 0). Same seeding and sink contract as above.
+/// Run raw-BER probe trials [lo, hi) as one batch (waterfall even streams:
+/// stride 2, offset 0). A probe draws a random payload (one raw draw per
+/// bit) from its trial stream, modulates it on the uplink, passes it
+/// through the uplink impairments at the uplink budget (no brownout), and
+/// decodes it at the reader's correlation gate; an undecodable frame is
+/// charged half its bits. Same seeding and sink contract as above.
 void run_ber_batch(
     const ImpairedLinkConfig& link, std::size_t payload_bits,
     std::uint64_t base_seed, std::uint64_t stream_stride,
@@ -122,8 +137,12 @@ void run_ber_batch(
     DspWorkspace& workspace,
     const std::function<void(std::size_t, const BerOutcome&)>& sink);
 
-/// True when `link` can run in the lockstep lane engine; false means the
-/// batch falls back to the scalar oracle per lane (exposed for tests).
+/// True when neither link direction touches a record before AWGN (FM0
+/// uplink, no CFO, phase noise, drift, bursts or brownout): lanes then
+/// write noise straight from the batch's cached clean records instead of
+/// copying and impairing them per lane. Outcomes are identical either
+/// way; the engine counts the two cases as batch.lockstep_trials and
+/// batch.fallback_trials.
 bool lockstep_batchable(const ImpairedLinkConfig& link);
 
 /// Deterministic batch-grained reduction: run_batch(lo, hi) -> T evaluates
@@ -158,26 +177,6 @@ T batched_reduce(std::size_t n, std::size_t batch_size, T identity,
     total = combine(std::move(total), std::move(partials[b]));
   }
   return total;
-}
-
-/// Batch-grained parallel_for: run_batch(lo, hi) must write only to
-/// per-index slots (the parallel_for contract, at batch granularity).
-template <typename RunBatch>
-void batched_for(std::size_t n, std::size_t batch_size, RunBatch&& run_batch) {
-  if (n == 0) return;
-  const std::size_t k = batch_size == 0 ? 1 : batch_size;
-  const std::size_t batches = (n + k - 1) / k;
-  obs::count("batch.dispatches", batches);
-  obs::count("batch.trials", n);
-  const auto run_one = [&](std::size_t b) {
-    run_batch(b * k, std::min(n, (b + 1) * k));
-  };
-  if (batches <= 1 || parallel_thread_count() <= 1 ||
-      detail::in_pool_worker()) {
-    for (std::size_t b = 0; b < batches; ++b) run_one(b);
-  } else {
-    detail::pool_run(batches, run_one);
-  }
 }
 
 }  // namespace ivnet

@@ -37,8 +37,8 @@
 // service's link-config template — worker count, queue depth, and arrival
 // timing never change response bytes. Request trials run through
 // run_session_batch with per-trial Rng::stream seeds (stride 1, offset 0),
-// so a decode request's outcome is bitwise-identical to running the scalar
-// oracle run_impaired_link_session trial-by-trial. determinism_test pins
+// so a decode request's outcome is bitwise-identical to running
+// run_impaired_link_session trial-by-trial. determinism_test pins
 // the service-mode metrics snapshot (counters + sim-valued histograms)
 // byte-identical across reruns and across 1/2/8 workers; only wall-time-
 // valued metrics (svc.queue_wait, svc.service_time) and scheduling-
@@ -138,7 +138,7 @@ struct ServiceConfig {
 };
 
 /// The exact per-request link config a worker executes — exposed so tests
-/// can replay a request against the scalar oracle and memcmp the outcome.
+/// can replay a request trial-by-trial and memcmp the outcome.
 ImpairedLinkConfig link_config_for(const ServiceConfig& config,
                                    const Request& request);
 

@@ -1,12 +1,13 @@
-// Batched run-to-completion pipeline: the lane engine must be
-// BITWISE-identical to the scalar oracles (run_impaired_link_session,
-// waterfall's ber_probe_trial) at every batch size, for every tested
-// config — including ragged tails and fallback (non-lockstep) configs —
-// and the lockstep Gaussian sampler must match its scalar path draw for
-// draw. SessionOutcome comparisons are memcmp-strict: any padding or
+// Batched run-to-completion pipeline: the session engine's K-lane batches
+// must be BITWISE-identical to lone sessions (run_impaired_link_session,
+// batch-1 BER probes) at every batch size, for every tested config —
+// including ragged tails and configs whose lanes impair records per lane
+// (non-lockstep) — and the lockstep Gaussian sampler must match its scalar
+// path draw for draw. SessionOutcome comparisons are memcmp-strict: any padding or
 // field drift fails loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -109,7 +110,7 @@ TEST_F(BatchPipelineTest, ApplyAwgnConsumesOneDrawPerSample) {
   EXPECT_EQ(rng.raw_state(), expected.raw_state());
 }
 
-// --- Session batches vs the scalar oracle ----------------------------------
+// --- Session batches vs lone sessions --------------------------------------
 
 ImpairedLinkConfig lockstep_config(double snr_db) {
   ImpairedLinkConfig link;
@@ -131,6 +132,15 @@ std::vector<SessionOutcome> scalar_sessions(const ImpairedLinkConfig& link,
   return out;
 }
 
+/// Calls run_batch(lo, hi) over [0, n) in batches of `batch_size`.
+template <typename RunBatch>
+void for_each_batch(std::size_t n, std::size_t batch_size,
+                    RunBatch&& run_batch) {
+  for (std::size_t lo = 0; lo < n; lo += batch_size) {
+    run_batch(lo, std::min(n, lo + batch_size));
+  }
+}
+
 std::vector<SessionOutcome> batched_sessions(const ImpairedLinkConfig& link,
                                              std::uint64_t base_seed,
                                              std::uint64_t stride,
@@ -138,7 +148,7 @@ std::vector<SessionOutcome> batched_sessions(const ImpairedLinkConfig& link,
                                              std::size_t n,
                                              std::size_t batch_size) {
   std::vector<SessionOutcome> out(n);
-  batched_for(n, batch_size, [&](std::size_t lo, std::size_t hi) {
+  for_each_batch(n, batch_size, [&](std::size_t lo, std::size_t hi) {
     DspWorkspace workspace;
     run_session_batch(link, base_seed, stride, offset, lo, hi, workspace,
                       [&](std::size_t t, const SessionOutcome& o) {
@@ -180,7 +190,7 @@ TEST_F(BatchPipelineTest, SessionBatchBitwiseMatchesScalarAcrossBatchSizes) {
 
 TEST_F(BatchPipelineTest, SessionBatchMatchesScalarOnFallbackConfigs) {
   // Configs the lane engine cannot run in lockstep must still produce the
-  // oracle's exact outcomes through the per-lane fallback.
+  // lone sessions' exact outcomes with per-lane impaired records.
   std::vector<ImpairedLinkConfig> configs;
   {
     ImpairedLinkConfig link = lockstep_config(10.0);
@@ -227,28 +237,27 @@ TEST_F(BatchPipelineTest, SessionBatchHandlesEdgeConfigs) {
   EXPECT_EQ(charge_fail[0].powered, 0);
 }
 
-// --- BER batches vs the scalar oracle --------------------------------------
+// --- BER batches vs lone probes --------------------------------------------
 
 TEST_F(BatchPipelineTest, BerBatchBitwiseMatchesScalar) {
   const std::size_t n = 131;
   const std::size_t payload_bits = 96;
   for (const double snr_db : {30.0, 8.0, 0.0}) {
     const ImpairedLinkConfig link = lockstep_config(snr_db);
-    std::vector<BerOutcome> reference(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto r =
-          ber_probe_trial(link, payload_bits, Rng::stream(321, 2 * t));
-      reference[t].bit_errors = r.bit_errors;
-      reference[t].frame_error = r.frame_error ? 1 : 0;
-    }
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{32}, std::size_t{129}}) {
-      std::vector<BerOutcome> got(n);
-      batched_for(n, batch, [&](std::size_t lo, std::size_t hi) {
+    const auto probes = [&](std::size_t batch) {
+      std::vector<BerOutcome> out(n);
+      for_each_batch(n, batch, [&](std::size_t lo, std::size_t hi) {
         DspWorkspace workspace;
         run_ber_batch(link, payload_bits, 321, 2, 0, lo, hi, workspace,
-                      [&](std::size_t t, const BerOutcome& o) { got[t] = o; });
+                      [&](std::size_t t, const BerOutcome& o) { out[t] = o; });
       });
+      return out;
+    };
+    // Batch 1 is a lone probe per trial (pinned by session_golden_test).
+    const std::vector<BerOutcome> reference = probes(1);
+    for (const std::size_t batch : {std::size_t{7}, std::size_t{32},
+                                    std::size_t{129}}) {
+      const std::vector<BerOutcome> got = probes(batch);
       for (std::size_t t = 0; t < n; ++t) {
         EXPECT_EQ(std::memcmp(&reference[t], &got[t], sizeof(BerOutcome)), 0)
             << "snr " << snr_db << " batch " << batch << " trial " << t

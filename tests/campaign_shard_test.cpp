@@ -312,7 +312,20 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
   remove_shard_files(base, 2);
   const ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  // Two concurrent workers race: whichever starts first may claim and steal
+  // every cell, leaving the other shard with no timed record. Run the
+  // workers in a fixed order instead: shard 1 on its own cells only, then
+  // shard 0 on the full spec (shard 1's cells resume from its journal, so
+  // shard 0 computes exactly its own), then the merge.
+  CampaignSpec shard1_cells;
+  shard1_cells.name = spec.name;
+  for (const auto& c : spec.cells) {
+    if (c.content_hash() % 2 == 1) shard1_cells.cells.push_back(c);
+  }
+  reset_campaign_claims(options);
+  EXPECT_EQ(run_campaign_shard(shard1_cells, options, 1).cells_stolen, 0u);
+  EXPECT_EQ(run_campaign_shard(spec, options, 0).cells_stolen, 0u);
+  EXPECT_TRUE(merge_campaign_shards(spec, options).complete());
   obs::install_null();
 
   std::set<std::uint64_t> unique;

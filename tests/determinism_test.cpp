@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ivnet/cib/frequency_plan.hpp"
@@ -383,6 +384,10 @@ TEST_F(DeterminismTest, MetricsSnapshotByteEqualAcrossPoolSizes) {
   }
 }
 
+// Batch sizes the sim-trace pins run at: every lane emits on its trial's
+// own track, so the trace is the same bytes at any batch size too.
+constexpr std::size_t kTraceBatchSizes[] = {1, 8, 32};
+
 TEST_F(DeterminismTest, SimTraceByteEqualAcrossPoolSizes) {
   MatrixConfig config;
   config.media = {{"water", 2.0}, {"muscle", 6.0}};
@@ -392,45 +397,60 @@ TEST_F(DeterminismTest, SimTraceByteEqualAcrossPoolSizes) {
   config.link.recovery = RecoveryPolicy::retries(1);
   config.link.impair.bursts = {.rate_hz = 120.0, .mean_duration_s = 5e-4,
                                .depth_db = 40.0};
-  auto run = [&] {
+  auto run = [&](std::size_t batch) {
+    MatrixConfig c = config;
+    c.batch.batch_size = batch;
     obs::Tracer tracer(obs::TraceClock::kSim);
     obs::install({.metrics = nullptr, .tracer = &tracer});
     Rng rng(97);
-    (void)run_session_matrix(config, rng);
+    (void)run_session_matrix(c, rng);
     obs::install_null();
     return tracer.to_json();
   };
   set_parallel_threads(1);
-  const std::string reference = run();
+  const std::string reference = run(1);
   EXPECT_NE(reference.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(reference.find("\"name\":\"charge\""), std::string::npos);
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    EXPECT_EQ(run(), reference) << "pool size " << threads;
+  for (const std::size_t batch : kTraceBatchSizes) {
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      EXPECT_EQ(run(batch), reference)
+          << "batch " << batch << " pool size " << threads;
+    }
   }
 }
 
 TEST_F(DeterminismTest, SnapshotAndTraceTogetherByteEqualAcrossPoolSizes) {
   // Both sinks live at once, over the depth sweep: the combined artifact pair
-  // is what ci.sh archives, so pin it as a unit.
+  // is what ci.sh archives, so pin it as a unit. The snapshot's batch
+  // counters and arena gauge describe the dispatch, so the snapshot is
+  // pinned per batch size; the trace is pinned across batch sizes too.
   DepthSweepConfig config;
   config.depths_m = {0.03, 0.08};
   config.trials_per_point = 12;
   config.link.recovery = RecoveryPolicy::retries(2);
-  auto run = [&] {
+  auto run = [&](std::size_t batch) {
+    DepthSweepConfig c = config;
+    c.batch.batch_size = batch;
     obs::MetricsRegistry registry;
     obs::Tracer tracer(obs::TraceClock::kSim);
     obs::install({.metrics = &registry, .tracer = &tracer});
     Rng rng(31);
-    (void)run_success_vs_depth(config, rng);
+    (void)run_success_vs_depth(c, rng);
     obs::install_null();
-    return registry.snapshot_json() + "\n" + tracer.to_json();
+    return std::make_pair(registry.snapshot_json(), tracer.to_json());
   };
   set_parallel_threads(1);
-  const std::string reference = run();
-  for (std::size_t threads : kPoolSizes) {
-    set_parallel_threads(threads);
-    EXPECT_EQ(run(), reference) << "pool size " << threads;
+  const std::string trace = run(1).second;
+  for (const std::size_t batch : kTraceBatchSizes) {
+    set_parallel_threads(1);
+    const auto reference = run(batch);
+    EXPECT_EQ(reference.second, trace) << "batch " << batch;
+    for (std::size_t threads : kPoolSizes) {
+      set_parallel_threads(threads);
+      EXPECT_EQ(run(batch), reference)
+          << "batch " << batch << " pool size " << threads;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "ivnet/common/units.hpp"
 #include "ivnet/impair/impairment.hpp"
@@ -300,6 +301,21 @@ TEST(LinkSession, MillerUplinksWork) {
     const auto report = run_impaired_link_session(config, rng);
     EXPECT_TRUE(report.success) << "miller " << static_cast<int>(m);
   }
+}
+
+TEST(LinkSession, InvalidAdaptiveQIsRejectedUpFront) {
+  ImpairedLinkConfig config;
+  config.adaptive_q.q_max = 64;
+  Rng rng(3);
+  EXPECT_THROW((void)run_impaired_link_session(config, rng),
+               std::invalid_argument);
+  // Sweeps reject it before dispatching any trial to the pool.
+  WaterfallConfig waterfall;
+  waterfall.link = config;
+  waterfall.trials_per_point = 64;
+  waterfall.batch.batch_size = 4;
+  EXPECT_THROW((void)run_ber_waterfall(waterfall, rng),
+               std::invalid_argument);
 }
 
 TEST(LinkSession, StageStringsAreStable) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "ivnet/reader/inventory.hpp"
@@ -245,6 +246,26 @@ TEST(AdaptiveQAlgorithm, QfpIsClampedAtBothEnds) {
                                  .q_max = 15});
   for (int k = 0; k < 5; ++k) high.on_collision();
   EXPECT_EQ(high.q(), 15);
+}
+
+TEST(AdaptiveQAlgorithm, RejectsBoundsOutsideTheFourBitQField) {
+  // q_max >= 64 used to reach `std::size_t{1} << q` (undefined behaviour),
+  // 16..63 silently lost their high bits in QueryCommand::encode, and
+  // q_min > q_max made std::clamp undefined.
+  for (const std::uint8_t q_max : {std::uint8_t{16}, std::uint8_t{64},
+                                   std::uint8_t{255}}) {
+    EXPECT_THROW(AdaptiveQ(AdaptiveQConfig{.q_max = q_max}),
+                 std::invalid_argument)
+        << "q_max " << int(q_max);
+  }
+  EXPECT_THROW(AdaptiveQ(AdaptiveQConfig{.q_min = 5, .q_max = 4}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(AdaptiveQ(AdaptiveQConfig{.q_min = 0, .q_max = 15}));
+  EXPECT_NO_THROW(
+      AdaptiveQ(AdaptiveQConfig{.initial_q = 9.0, .q_min = 7, .q_max = 7}));
+  EXPECT_THROW((void)gen2::QueryCommand{.q = 16}.encode(),
+               std::invalid_argument);
+  EXPECT_EQ(gen2::QueryCommand{.q = 15}.encode().size(), 22u);
 }
 
 TEST(AdaptiveQAlgorithm, RunAdaptiveFindsAllTagsAndRecordsTrajectory) {

@@ -69,14 +69,14 @@ PY
 fi
 
 echo "=== ci: batched pipeline sessions/sec (non-gating timings) ==="
-# Runs the scalar trial loop and the batched lockstep pipeline (batch
-# 1/8/32/128 x threads 1/2/8) over the same x13 workload and archives the
-# sessions/sec table. Timings are informational on shared hardware, but the
-# bench also byte-compares every configuration's sweep JSON against the
-# scalar single-thread reference — an identity mismatch is a real bug, so
-# that (exit code 1) still fails the pipeline.
+# Runs the x13 workload through the session engine at batch 1/8/32/128 x
+# threads 1/2/8 and archives the sessions/sec table. Timings are
+# informational on shared hardware, but the bench also byte-compares every
+# configuration's sweep JSON against the batch-1 single-thread reference —
+# an identity mismatch is a real bug, so that (exit code 1) still fails the
+# pipeline.
 if ! build-ci/bench/bench_throughput "$ARTIFACT_DIR/BENCH_throughput.json"; then
-  echo "ci: batched pipeline output differs from scalar oracle" >&2
+  echo "ci: batched pipeline output differs from the batch-1 run" >&2
   exit 1
 fi
 
@@ -296,9 +296,10 @@ echo "=== ci: campaign kill-and-resume determinism ==="
 # byte-identical final JSON to an uninterrupted run — across different
 # IVNET_THREADS on every leg (1 for the reference, 2 for the killed run,
 # 8 for the resume). Wherever the kill lands (before, between, or after
-# cell journal appends), the resumed bytes must match. The resume leg runs
-# through the batched lockstep pipeline (IVNET_BATCH=32), so the final cmp
-# also pins batched-vs-scalar identity on a live campaign.
+# cell journal appends), the resumed bytes must match. fig9's cells are gain
+# trials, which run no Gen2 sessions: the resume leg's IVNET_BATCH=32 does
+# not reach the session engine here (the shard-fleet stage below pins the
+# engine's batch invariance on x13).
 CAMPAIGN_DIR="$ARTIFACT_DIR/campaign"
 mkdir -p "$CAMPAIGN_DIR"
 CAMPAIGN_TRIALS="${CAMPAIGN_TRIALS:-12000}"
@@ -342,6 +343,16 @@ SHARD_TRIALS="${SHARD_TRIALS:-24}"
 IVNET_THREADS=1 build-ci/tools/ivnet campaign run --bench x13 \
     --trials "$SHARD_TRIALS" --fresh \
     --journal "$SHARD_DIR/ref.jsonl" --out "$SHARD_DIR/ref.json"
+# The same campaign with 32-lane session batches on 8 threads: x13's
+# waterfall, matrix and depth cells run through the session engine, whose
+# batch size must change speed, never bytes.
+IVNET_THREADS=8 IVNET_BATCH=32 build-ci/tools/ivnet campaign run --bench x13 \
+    --trials "$SHARD_TRIALS" --fresh \
+    --journal "$SHARD_DIR/batch32.jsonl" --out "$SHARD_DIR/batch32.json"
+cmp "$SHARD_DIR/ref.json" "$SHARD_DIR/batch32.json" || {
+  echo "ci: x13 campaign differs at IVNET_BATCH=32 IVNET_THREADS=8" >&2
+  exit 1
+}
 rm -f "$SHARD_DIR"/fleet.jsonl.shard*.jsonl "$SHARD_DIR/fleet.jsonl.claims"
 for k in 0 1 2; do
   IVNET_THREADS=2 build-ci/tools/ivnet campaign worker --bench x13 \

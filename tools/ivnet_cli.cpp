@@ -27,9 +27,9 @@
 //   --trace-out FILE       write a Chrome trace_event file (load in
 //                          chrome://tracing or ui.perfetto.dev)
 //   --trace-clock sim|wall trace clock domain (default wall)
-//   --batch-size K         run trial sweeps through the batched lockstep
-//                          pipeline, K trials per batch (1 = scalar path;
-//                          results are bitwise-identical either way)
+//   --batch-size K         session-engine lanes per batch in the trial
+//                          sweeps (speed only: results are bitwise-
+//                          identical at any K)
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -968,8 +968,8 @@ int cmd_help() {
       "  replay-exemplar --in FILE [--id N | --index K] [--json]\n"
       "           re-execute captured exemplars; response hash must match\n\n"
       "global: --metrics-out FILE  --trace-out FILE  --trace-clock sim|wall\n"
-      "        --batch-size K   batched lockstep trial pipeline (K trials\n"
-      "                         per batch; bitwise-identical to scalar)\n");
+      "        --batch-size K   session-engine lanes per batch (speed\n"
+      "                         only; bitwise-identical at any K)\n");
   return 0;
 }
 
