@@ -38,31 +38,12 @@ void apply_awgn(std::vector<double>& x, double snr_db, Rng& rng) {
   signal::axpy_awgn(rng, sigma, x);
 }
 
-void apply_awgn(Waveform& wave, double snr_db, Rng& rng) {
-  const double power = mean_power(wave);
-  const double sigma = awgn_sigma(power, snr_db);
-  if (sigma < 0.0) return;
-  // Split the noise power evenly across I and Q.
-  const double per_axis = sigma / std::sqrt(2.0);
-  for (auto& s : wave.samples) {
-    s += cplx(rng.normal(0.0, per_axis), rng.normal(0.0, per_axis));
-  }
-}
-
 void apply_carrier_offset(std::vector<double>& x, double sample_rate_hz,
                           double cfo_hz, double phase0_rad) {
   if (cfo_hz == 0.0 && phase0_rad == 0.0) return;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double t = static_cast<double>(i) / sample_rate_hz;
     x[i] *= std::cos(kTwoPi * cfo_hz * t + phase0_rad);
-  }
-}
-
-void apply_carrier_offset(Waveform& wave, double cfo_hz, double phase0_rad) {
-  if (cfo_hz == 0.0 && phase0_rad == 0.0) return;
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    const double t = wave.time_of(i);
-    wave.samples[i] *= std::polar(1.0, kTwoPi * cfo_hz * t + phase0_rad);
   }
 }
 
@@ -74,17 +55,6 @@ void apply_phase_noise(std::vector<double>& x, double sample_rate_hz,
   for (double& v : x) {
     phi += rng.normal(0.0, sigma);
     v *= std::cos(phi);
-  }
-}
-
-void apply_phase_noise(Waveform& wave, double linewidth_hz, Rng& rng) {
-  if (linewidth_hz <= 0.0) return;
-  const double sigma =
-      phase_step_sigma(linewidth_hz, wave.sample_rate_hz);
-  double phi = 0.0;
-  for (auto& s : wave.samples) {
-    phi += rng.normal(0.0, sigma);
-    s *= std::polar(1.0, phi);
   }
 }
 
@@ -244,45 +214,6 @@ void ImpairmentChain::apply_before_awgn(std::span<const double> x,
     trace->bursts += bursts;
     trace->erased_samples += erased;
   }
-}
-
-Waveform ImpairmentChain::apply(const Waveform& in, Rng& rng,
-                                ImpairmentTrace* trace) const {
-  Waveform out;
-  out.sample_rate_hz = in.sample_rate_hz;
-  if (config_.clock_drift_ppm == 0.0) {
-    out.samples = in.samples;
-  } else {
-    // Drift the real and imaginary rails on the same interpolation grid.
-    std::vector<double> re(in.size()), im(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      re[i] = in.samples[i].real();
-      im[i] = in.samples[i].imag();
-    }
-    const auto re_d = apply_clock_drift(re, config_.clock_drift_ppm);
-    const auto im_d = apply_clock_drift(im, config_.clock_drift_ppm);
-    out.samples.resize(re_d.size());
-    for (std::size_t i = 0; i < re_d.size(); ++i) {
-      out.samples[i] = cplx(re_d[i], im_d[i]);
-    }
-  }
-  apply_carrier_offset(out, config_.cfo_hz, config_.cfo_phase_rad);
-  apply_phase_noise(out, config_.phase_noise_linewidth_hz, rng);
-  if (config_.bursts.rate_hz > 0.0 && config_.bursts.mean_duration_s > 0.0 &&
-      !out.empty()) {
-    // Reuse the real-path burst machinery on an all-ones mask.
-    std::vector<double> mask(out.size(), 1.0);
-    std::size_t erased = 0;
-    const std::size_t bursts = apply_burst_erasures(
-        mask, out.sample_rate_hz, config_.bursts, rng, &erased);
-    for (std::size_t i = 0; i < out.size(); ++i) out.samples[i] *= mask[i];
-    if (trace != nullptr) {
-      trace->bursts += bursts;
-      trace->erased_samples += erased;
-    }
-  }
-  apply_awgn(out, config_.snr_db, rng);
-  return out;
 }
 
 }  // namespace ivnet

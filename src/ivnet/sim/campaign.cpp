@@ -4,15 +4,15 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
 #include <string_view>
 #include <stdexcept>
-#include <thread>
+#include <system_error>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -63,23 +63,6 @@ std::string hash_hex(std::uint64_t hash) {
   return buf;
 }
 
-/// One journal record; `result_json` is spliced in verbatim so a replay
-/// reproduces the evaluator's bytes exactly. `extras` (shard metadata)
-/// sits between the hash and cell fields so the result stays the record's
-/// final field — the reader slices it off the closing brace.
-std::string journal_line(const CellSpec& spec, std::uint64_t hash,
-                         const std::string& result_json,
-                         const std::string& extras = "") {
-  std::string line = "{\"hash\":\"" + hash_hex(hash) + "\",";
-  line += extras;
-  line += "\"cell\":";
-  line += spec.canonical_json();
-  line += ",\"result\":";
-  line += result_json;
-  line += "}\n";
-  return line;
-}
-
 /// True when `text` is a brace/bracket-balanced JSON fragment starting at
 /// '{' — the cheap structural check that rejects torn journal tails without
 /// pulling in a full parser. Tracks strings so quoted braces don't count.
@@ -113,56 +96,275 @@ bool balanced_json_object(const std::string& text) {
   return false;
 }
 
-/// Drop any newline-less tail (a record torn by a crash mid-write) so the
-/// next append starts on a record boundary. No-op on missing/clean files.
-void truncate_torn_tail(const std::string& path) {
+/// A journal as read from disk: its trusted records, plus the length of its
+/// newline-terminated prefix — where the next append has to start.
+struct LoadedJournal {
+  std::vector<JournalEntry> entries;
+  std::size_t clean_bytes = 0;
+};
+
+/// The one journal reader. A record is only trusted when its line is
+/// newline-terminated and well-formed; torn or corrupt lines are skipped.
+/// Missing file => empty. Binary mode, so a result text carrying \r bytes
+/// cannot shift the byte offsets the writer later truncates to.
+LoadedJournal load_journal(const std::string& path) {
+  LoadedJournal journal;
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return;
+  if (f == nullptr) return journal;
   std::string content;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
-  if (content.empty() || content.back() == '\n') return;
-  const std::size_t last_nl = content.find_last_of('\n');
-  const std::size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
-  (void)::truncate(path.c_str(), static_cast<off_t>(keep));
+
+  std::size_t pos = 0;
+  while (pos < content.size()) {
+    const std::size_t eol = content.find('\n', pos);
+    if (eol == std::string::npos) break;  // torn tail: no newline, skip
+    const std::string line = content.substr(pos, eol - pos);
+    pos = eol + 1;
+    journal.clean_bytes = pos;
+
+    // {"hash":"<16 hex>",[shard metadata,]"cell":{...},"result":{...}}
+    static constexpr std::string_view kPrefix = "{\"hash\":\"";
+    if (line.rfind(kPrefix, 0) != 0 || !balanced_json_object(line)) continue;
+    const char* hex = line.data() + kPrefix.size();
+    std::uint64_t hash = 0;
+    if (line.size() <= kPrefix.size() + 16 || hex[16] != '"' ||
+        std::from_chars(hex, hex + 16, hash, 16).ptr != hex + 16) {
+      continue;
+    }
+    static constexpr std::string_view kResultKey = ",\"result\":";
+    const std::size_t rpos = line.find(kResultKey);
+    if (rpos == std::string::npos) continue;
+    // Everything between the result key and the record's closing brace.
+    std::string result = line.substr(rpos + kResultKey.size(),
+                                     line.size() - (rpos + kResultKey.size()) -
+                                         1);
+    if (!balanced_json_object(result)) continue;
+    JournalEntry entry{};
+    entry.hash = hash;
+    entry.result_json = std::move(result);
+    // Shard metadata lives strictly before the cell field, so scanning only
+    // that prefix can never pick up a same-named key from the result text.
+    const std::size_t cell_pos = line.find("\"cell\":");
+    if (cell_pos != std::string::npos) {
+      const std::string_view head(line.data(), cell_pos);
+      const double shard = json_find_number(head, "shard", -1.0);
+      if (shard >= 0.0) entry.shard = static_cast<std::size_t>(shard);
+      entry.stolen = json_find_number(head, "stolen", 0.0) != 0.0;
+      entry.seconds = json_find_number(head, "t_s", 0.0);
+    }
+    journal.entries.push_back(std::move(entry));
+  }
+  return journal;
 }
 
-/// Serialized appender owning the journal FILE*. Every record is flushed
-/// AND fsync'd before append() returns: once a caller observes a cell as
-/// journaled, a crash cannot un-journal it.
+/// Serialized appender for one journal. The file opens on the first append
+/// only, so a run resolved entirely from disk never touches it. Opening
+/// cuts the file back to `keep_bytes`, the newline-terminated prefix the
+/// loader saw (0 = start fresh): a SIGKILL mid-append leaves a torn,
+/// newline-less tail, and appending onto it would glue the two lines into
+/// one corrupt record, losing BOTH cells. That cut assumes one writer per
+/// journal, as the shard layout and the plan store already require. A
+/// shard writer stamps each record with its shard metadata. Every record is flushed AND fsync'd before
+/// append() returns: once a caller observes a cell as journaled, a crash
+/// cannot un-journal it.
 class JournalWriter {
  public:
-  explicit JournalWriter(const std::string& path, bool fresh) {
-    if (path.empty()) return;
-    // A SIGKILL mid-append leaves a torn, newline-less tail. Appending a
-    // fresh record onto it would glue the two lines into one corrupt one,
-    // losing BOTH cells — truncate back to the last complete record first.
-    if (!fresh) truncate_torn_tail(path);
-    file_ = std::fopen(path.c_str(), fresh ? "w" : "a");
-    if (file_ == nullptr) {
-      throw std::runtime_error("campaign: cannot open journal " + path);
-    }
-  }
+  JournalWriter(std::string path, std::size_t keep_bytes,
+                std::size_t shard = JournalEntry::kNoShard,
+                std::size_t n_shards = 1)
+      : path_(std::move(path)),
+        keep_bytes_(keep_bytes),
+        shard_(shard),
+        n_shards_(n_shards) {}
   ~JournalWriter() {
     if (file_ != nullptr) std::fclose(file_);
   }
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  void append(const CellSpec& spec, std::uint64_t hash,
-              const std::string& result_json,
-              const std::string& extras = "") {
-    if (file_ == nullptr) return;
+  void append(const CellOutcome& cell, double seconds = 0.0) {
+    if (path_.empty()) return;
+    std::string extras;
+    if (shard_ != JournalEntry::kNoShard) {
+      const bool stolen = cell.hash % n_shards_ != shard_;
+      extras = "\"shard\":" + std::to_string(shard_) +
+               ",\"stolen\":" + (stolen ? "1" : "0") +
+               ",\"t_s\":" + format_param(seconds) + ",";
+    }
     std::lock_guard<std::mutex> lock(mutex_);
-    detail::append_journal_record(file_, spec, hash, result_json, extras);
+    if (file_ == nullptr) {
+      if (keep_bytes_ > 0) {
+        (void)::truncate(path_.c_str(), static_cast<off_t>(keep_bytes_));
+      }
+      file_ = std::fopen(path_.c_str(), keep_bytes_ > 0 ? "a" : "w");
+      if (file_ == nullptr) {
+        throw std::runtime_error("campaign: cannot open journal " + path_);
+      }
+    }
+    detail::append_journal_record(file_, cell.spec, cell.hash,
+                                  cell.result_json, extras);
   }
 
  private:
+  std::string path_;
+  std::size_t keep_bytes_;
+  std::size_t shard_;
+  std::size_t n_shards_;
   std::mutex mutex_;
   std::FILE* file_ = nullptr;
 };
+
+// --- Cell resolution -----------------------------------------------------
+// Every entry point resolves a cell journal -> memo cache -> compute, and
+// journals a result before the cache can hand it out. The two helpers
+// below are the only place that order is written down.
+
+/// What a spec-order pass left for the compute step.
+struct Unresolved {
+  /// First instance of each unresolved hash, in spec order.
+  std::vector<std::size_t> first;
+  /// Later instances of those hashes, paired with their first instance.
+  std::vector<std::pair<std::size_t, std::size_t>> repeats;
+};
+
+/// (a) The spec-order pass. Fills `report`'s name, total and outcomes, and
+/// resolves each cell from `entries` (the first record of a hash wins).
+/// With a `journal`, the pass also consults the memo cache: journal hits
+/// are memoized, and cache hits are appended to `journal`, so a journal
+/// alone replays its campaign. Without one the pass reads the journal
+/// entries only. Serial and in spec order, so resumed and cache-hit counts
+/// are the same at any thread count.
+Unresolved resolve_in_spec_order(const CampaignSpec& spec,
+                                 const std::vector<JournalEntry>& entries,
+                                 JournalWriter* journal,
+                                 CampaignReport& report) {
+  report.name = spec.name;
+  report.cells_total = spec.cells.size();
+  report.outcomes.resize(spec.cells.size());
+  std::unordered_map<std::uint64_t, const std::string*> journaled;
+  for (const JournalEntry& entry : entries) {
+    journaled.emplace(entry.hash, &entry.result_json);
+  }
+  CellCache& cache = CellCache::instance();
+  Unresolved todo;
+  std::unordered_map<std::uint64_t, std::size_t> scheduled;  // hash -> first
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    CellOutcome& out = report.outcomes[i];
+    out.spec = spec.cells[i];
+    out.hash = spec.cells[i].content_hash();
+    if (const auto it = journaled.find(out.hash); it != journaled.end()) {
+      out.result_json = *it->second;
+      out.source = CellSource::kJournal;
+      ++report.cells_resumed;
+      if (journal != nullptr) cache.insert(out.hash, out.result_json);
+      continue;
+    }
+    if (journal != nullptr && cache.lookup(out.hash, &out.result_json)) {
+      out.source = CellSource::kCache;
+      ++report.cache_hits;
+      journal->append(out);
+      continue;
+    }
+    const auto [it, first] = scheduled.emplace(out.hash, i);
+    if (first) {
+      todo.first.push_back(i);
+    } else {
+      todo.repeats.emplace_back(i, it->second);
+    }
+  }
+  return todo;
+}
+
+/// (b) The compute step: evaluate outcomes[i] for every i in `cells`, one
+/// cell per pool chunk — cells are coarse (whole Monte-Carlo sweeps), so
+/// parallel_for's fine grain would serialize small campaigns — or serially
+/// for at most one cell, one thread, or from inside a pool worker. Every
+/// evaluator is looked up before any work, so an unknown kind throws
+/// std::invalid_argument before anything is computed. A cell whose `claim`
+/// fails (another worker has it) is skipped. Each result is journaled
+/// BEFORE it enters the memo cache: once any code path can observe it, its
+/// journal line is already durable. Exceptions (an evaluator throwing, a
+/// journal append that cannot be made durable) cannot unwind through the
+/// pool: the first one is captured, the remaining cells are skipped, and
+/// it is rethrown. Returns each cell's compute seconds, negative if skipped.
+std::vector<double> compute_cells(
+    std::vector<CellOutcome>& outcomes, const std::vector<std::size_t>& cells,
+    JournalWriter& journal,
+    const std::function<bool(std::uint64_t)>& claim = nullptr) {
+  std::vector<CellEvaluator> evaluators(cells.size());
+  for (std::size_t j = 0; j < cells.size(); ++j) {
+    const std::string& kind = outcomes[cells[j]].spec.kind;
+    evaluators[j] = find_evaluator(kind);
+    if (!evaluators[j]) {
+      throw std::invalid_argument("campaign: no evaluator for kind '" + kind +
+                                  "'");
+    }
+  }
+  std::vector<double> seconds(cells.size(), -1.0);
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  auto compute = [&](std::size_t j) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (first_error) return;
+    }
+    try {
+      CellOutcome& out = outcomes[cells[j]];
+      if (claim && !claim(out.hash)) return;
+      const auto t0 = std::chrono::steady_clock::now();
+      out.result_json = evaluators[j](out.spec);
+      const double dt = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      out.source = CellSource::kComputed;
+      journal.append(out, dt);
+      CellCache::instance().insert(out.hash, out.result_json);
+      seconds[j] = dt;
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  if (cells.size() <= 1 || parallel_thread_count() <= 1 ||
+      detail::in_pool_worker()) {
+    for (std::size_t j = 0; j < cells.size(); ++j) compute(j);
+  } else {
+    detail::pool_run(cells.size(), compute);
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return seconds;
+}
+
+/// A single-journal campaign: (a) then (b) on `options.journal_path`.
+/// Emits no metrics — run_campaign does, resolve_cell does not.
+struct SingleRun {
+  CampaignReport report;
+  std::vector<double> seconds;  ///< compute seconds of each computed cell
+};
+
+SingleRun run_single(const CampaignSpec& spec, const CampaignOptions& options) {
+  register_builtin_cell_evaluators();
+  LoadedJournal loaded;
+  if (!options.journal_path.empty() && !options.fresh) {
+    loaded = load_journal(options.journal_path);
+  }
+  JournalWriter journal(options.journal_path, loaded.clean_bytes);
+  SingleRun run;
+  CampaignReport& report = run.report;
+  const Unresolved todo =
+      resolve_in_spec_order(spec, loaded.entries, &journal, report);
+  run.seconds = compute_cells(report.outcomes, todo.first, journal);
+  report.cells_computed = todo.first.size();
+  for (const auto& [i, first] : todo.repeats) {
+    report.outcomes[i].result_json = report.outcomes[first].result_json;
+    report.outcomes[i].source = CellSource::kCache;
+  }
+  report.cache_hits += todo.repeats.size();
+  return run;
+}
 
 }  // namespace
 
@@ -171,26 +373,26 @@ namespace detail {
 void append_journal_record(std::FILE* file, const CellSpec& spec,
                            std::uint64_t hash, const std::string& result_json,
                            const std::string& extras) {
-  const std::string line = journal_line(spec, hash, result_json, extras);
+  // `result_json` is spliced in verbatim so a replay reproduces the
+  // evaluator's bytes exactly. `extras` (shard metadata) sits between the
+  // hash and cell fields so the result stays the record's final field —
+  // the reader slices it off the closing brace.
+  const std::string line = "{\"hash\":\"" + hash_hex(hash) + "\"," + extras +
+                           "\"cell\":" + spec.canonical_json() +
+                           ",\"result\":" + result_json + "}\n";
   // Every step of the durability chain is checked: a short fwrite, a failed
   // fflush, or a failed fsync (ENOSPC, EIO, a read-only fd) means the
   // "durably journaled before observed" contract cannot be met, so the
   // caller must not report the cell as computed.
+  const auto fail = [](const char* step) {
+    throw std::runtime_error(std::string("campaign: journal ") + step +
+                             " failed: " + std::strerror(errno));
+  };
   if (std::fwrite(line.data(), 1, line.size(), file) != line.size()) {
-    throw std::runtime_error(
-        std::string("campaign: journal write failed: ") +
-        std::strerror(errno));
+    fail("write");
   }
-  if (std::fflush(file) != 0) {
-    throw std::runtime_error(
-        std::string("campaign: journal flush failed: ") +
-        std::strerror(errno));
-  }
-  if (fsync(fileno(file)) != 0) {
-    throw std::runtime_error(
-        std::string("campaign: journal fsync failed: ") +
-        std::strerror(errno));
-  }
+  if (std::fflush(file) != 0) fail("flush");
+  if (fsync(fileno(file)) != 0) fail("fsync");
 }
 
 }  // namespace detail
@@ -225,7 +427,18 @@ std::string CellSpec::param(const std::string& key,
 
 double CellSpec::param_num(const std::string& key, double fallback) const {
   const auto it = params.find(key);
-  return it == params.end() ? fallback : std::atof(it->second.c_str());
+  if (it == params.end()) return fallback;
+  // from_chars over the whole value, matching the std::to_chars writer:
+  // locale-independent, and trailing garbage is an error, not ignored.
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    throw std::invalid_argument("campaign: " + kind + " cell parameter '" +
+                                key + "' is not a number: '" + text + "'");
+  }
+  return value;
 }
 
 std::string CellSpec::canonical_json() const {
@@ -285,65 +498,8 @@ void CellCache::clear() {
   results_.clear();
 }
 
-std::size_t CellCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return results_.size();
-}
-
-// --- Journal reader ------------------------------------------------------
-
 std::vector<JournalEntry> read_campaign_journal(const std::string& path) {
-  std::vector<JournalEntry> entries;
-  // Binary mode, matching truncate_torn_tail: both walk the same byte
-  // offsets, so a result text carrying \r bytes can never make the reader
-  // and the truncator disagree about where a record ends.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return entries;
-  std::string content;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-
-  std::size_t pos = 0;
-  while (pos < content.size()) {
-    const std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) break;  // torn tail: no newline, skip
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-
-    // {"hash":"<16 hex>",[shard metadata,]"cell":{...},"result":{...}}
-    static constexpr std::string_view kPrefix = "{\"hash\":\"";
-    if (line.rfind(kPrefix, 0) != 0 || !balanced_json_object(line)) continue;
-    const std::string hex = line.substr(kPrefix.size(), 16);
-    if (hex.size() != 16 || line[kPrefix.size() + 16] != '"') continue;
-    char* end = nullptr;
-    const std::uint64_t hash = std::strtoull(hex.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0') continue;
-    static constexpr std::string_view kResultKey = ",\"result\":";
-    const std::size_t rpos = line.find(kResultKey);
-    if (rpos == std::string::npos) continue;
-    // Everything between the result key and the record's closing brace.
-    std::string result = line.substr(rpos + kResultKey.size(),
-                                     line.size() - (rpos + kResultKey.size()) -
-                                         1);
-    if (!balanced_json_object(result)) continue;
-    JournalEntry entry{};
-    entry.hash = hash;
-    entry.result_json = std::move(result);
-    // Shard metadata lives strictly before the cell field, so scanning only
-    // that prefix can never pick up a same-named key from the result text.
-    const std::size_t cell_pos = line.find("\"cell\":");
-    if (cell_pos != std::string::npos) {
-      const std::string_view head(line.data(), cell_pos);
-      const double shard = json_find_number(head, "shard", -1.0);
-      if (shard >= 0.0) entry.shard = static_cast<std::size_t>(shard);
-      entry.stolen = json_find_number(head, "stolen", 0.0) != 0.0;
-      entry.seconds = json_find_number(head, "t_s", 0.0);
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
+  return load_journal(path).entries;
 }
 
 // --- Campaign runner -----------------------------------------------------
@@ -365,168 +521,28 @@ std::string CampaignReport::results_json() const {
   return out;
 }
 
+CampaignReport run_campaign(const CampaignSpec& spec,
+                            const CampaignOptions& options) {
+  SingleRun run = run_single(spec, options);
+  const CampaignReport& report = run.report;
+  obs::count("campaign.cells.total", report.cells_total);
+  obs::count("campaign.cells.resumed", report.cells_resumed);
+  obs::count("campaign.cache.misses", report.cells_computed);
+  for (const double dt : run.seconds) obs::observe("campaign.cell.seconds", dt);
+  obs::count("campaign.cells.computed", report.cells_computed);
+  obs::count("campaign.cache.hits", report.cache_hits);
+  return std::move(run.report);
+}
+
 CellOutcome resolve_cell(const CellSpec& spec,
                          const std::string& journal_path) {
   // One resolver at a time: concurrent service workers re-planning the same
   // scenario must not interleave journal appends or double-compute a cell.
   static std::mutex resolve_mutex;
   std::lock_guard<std::mutex> lock(resolve_mutex);
-
-  CellOutcome outcome;
-  outcome.spec = spec;
-  outcome.hash = spec.content_hash();
-  // Journal first — the only source that survives a process restart.
-  bool in_journal = false;
-  if (!journal_path.empty()) {
-    for (auto& entry : read_campaign_journal(journal_path)) {
-      if (entry.hash != outcome.hash) continue;
-      outcome.result_json = std::move(entry.result_json);
-      outcome.source = CellSource::kJournal;
-      in_journal = true;
-      break;  // first matching record wins, like the campaign replay
-    }
-  }
-  if (in_journal) {
-    CellCache::instance().insert(outcome.hash, outcome.result_json);
-    return outcome;
-  }
-  if (CellCache::instance().lookup(outcome.hash, &outcome.result_json)) {
-    outcome.source = CellSource::kCache;
-  } else {
-    const CellEvaluator evaluator = find_evaluator(spec.kind);
-    if (!evaluator) {
-      throw std::invalid_argument("campaign: no evaluator for kind '" +
-                                  spec.kind + "'");
-    }
-    outcome.result_json = evaluator(spec);
-    outcome.source = CellSource::kComputed;
-  }
-  // Journal BEFORE the memo cache (the run_campaign ordering): the result
-  // is durable before any other code path can observe it.
-  if (!journal_path.empty()) {
-    JournalWriter journal(journal_path, /*fresh=*/false);
-    journal.append(spec, outcome.hash, outcome.result_json);
-  }
-  CellCache::instance().insert(outcome.hash, outcome.result_json);
-  return outcome;
-}
-
-CampaignReport run_campaign(const CampaignSpec& spec,
-                            const CampaignOptions& options) {
-  register_builtin_cell_evaluators();
-  CampaignReport report;
-  report.name = spec.name;
-  report.cells_total = spec.cells.size();
-  report.outcomes.resize(spec.cells.size());
-
-  // Resolve evaluators up front: a bad kind must fail before any work (and
-  // never from inside the pool, where exceptions cannot propagate).
-  std::vector<CellEvaluator> evaluators(spec.cells.size());
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    evaluators[i] = find_evaluator(spec.cells[i].kind);
-    if (!evaluators[i]) {
-      throw std::invalid_argument("campaign: no evaluator for kind '" +
-                                  spec.cells[i].kind + "'");
-    }
-  }
-
-  std::unordered_map<std::uint64_t, std::string> journaled;
-  if (!options.journal_path.empty() && !options.fresh) {
-    for (auto& entry : read_campaign_journal(options.journal_path)) {
-      journaled.emplace(entry.hash, std::move(entry.result_json));
-    }
-  }
-  JournalWriter journal(options.journal_path, options.fresh);
-  CellCache& cache = CellCache::instance();
-
-  // Serial resolution pass in spec order, so resumed/cache-hit counts are
-  // deterministic for any thread count: journal first, then the memo
-  // cache, then schedule the first instance of each remaining hash.
-  std::vector<std::size_t> pending;  // first instances to compute
-  std::unordered_map<std::uint64_t, std::size_t> scheduled;  // hash -> index
-  std::vector<std::size_t> duplicates;  // later instances of scheduled hashes
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    CellOutcome& out = report.outcomes[i];
-    out.spec = spec.cells[i];
-    out.hash = spec.cells[i].content_hash();
-    if (const auto it = journaled.find(out.hash); it != journaled.end()) {
-      out.result_json = it->second;
-      out.source = CellSource::kJournal;
-      ++report.cells_resumed;
-      cache.insert(out.hash, out.result_json);
-      continue;
-    }
-    if (cache.lookup(out.hash, &out.result_json)) {
-      out.source = CellSource::kCache;
-      ++report.cache_hits;
-      // Cache-resolved cells still land in THIS journal, so the journal
-      // alone replays the whole campaign.
-      journal.append(out.spec, out.hash, out.result_json);
-      continue;
-    }
-    if (scheduled.count(out.hash) > 0) {
-      duplicates.push_back(i);  // resolved from the first instance below
-      ++report.cache_hits;
-      continue;
-    }
-    scheduled.emplace(out.hash, i);
-    pending.push_back(i);
-  }
-
-  obs::count("campaign.cells.total", report.cells_total);
-  obs::count("campaign.cells.resumed", report.cells_resumed);
-  obs::count("campaign.cache.misses", pending.size());
-
-  // Shard pending cells across the pool, one cell per chunk — cells are
-  // coarse (whole Monte-Carlo sweeps), so the fixed fine grain of
-  // parallel_for would serialize small campaigns. Exceptions (an evaluator
-  // throwing, a journal append that cannot be made durable) are captured —
-  // they cannot unwind through the pool — and the first one rethrows after
-  // the remaining cells have been skipped.
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto evaluate = [&](std::size_t pi) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
-    }
-    try {
-      const std::size_t i = pending[pi];
-      CellOutcome& out = report.outcomes[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      out.result_json = evaluators[i](out.spec);
-      const double dt = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      out.source = CellSource::kComputed;
-      obs::observe("campaign.cell.seconds", dt);
-      // Journal BEFORE the memo cache: once any code path can observe the
-      // result, its journal line is already durable.
-      journal.append(out.spec, out.hash, out.result_json);
-      cache.insert(out.hash, out.result_json);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  if (pending.size() <= 1 || parallel_thread_count() <= 1 ||
-      detail::in_pool_worker()) {
-    for (std::size_t pi = 0; pi < pending.size(); ++pi) evaluate(pi);
-  } else {
-    detail::pool_run(pending.size(), evaluate);
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  report.cells_computed = pending.size();
-
-  for (const std::size_t i : duplicates) {
-    CellOutcome& out = report.outcomes[i];
-    out.result_json = report.outcomes[scheduled.at(out.hash)].result_json;
-    out.source = CellSource::kCache;
-  }
-
-  obs::count("campaign.cells.computed", report.cells_computed);
-  obs::count("campaign.cache.hits", report.cache_hits);
-  return report;
+  CampaignSpec one;
+  one.cells.push_back(spec);
+  return std::move(run_single(one, {journal_path}).report.outcomes.front());
 }
 
 // --- Distributed campaigns -----------------------------------------------
@@ -670,114 +686,55 @@ ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
   }
   register_builtin_cell_evaluators();
 
-  // Resolve evaluators up front: a bad kind fails before any work.
-  std::vector<CellEvaluator> evaluators(spec.cells.size());
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    evaluators[i] = find_evaluator(spec.cells[i].kind);
-    if (!evaluators[i]) {
-      throw std::invalid_argument("campaign: no evaluator for kind '" +
-                                  spec.cells[i].kind + "'");
-    }
-  }
-
-  // Resolution order, per shard: journal (EVERY shard's — the whole
-  // fleet's finished work counts as resumed) -> memo cache -> compute.
-  std::unordered_set<std::uint64_t> journaled;
+  // EVERY shard's journal counts: the whole fleet's finished work resumes.
+  std::vector<JournalEntry> entries;
+  std::size_t own_clean_bytes = 0;
   for (std::size_t k = 0; k < options.n_shards; ++k) {
-    for (const auto& entry :
-         read_campaign_journal(shard_journal_path(options.journal_path, k))) {
-      journaled.insert(entry.hash);
-    }
+    LoadedJournal loaded =
+        load_journal(shard_journal_path(options.journal_path, k));
+    if (k == shard) own_clean_bytes = loaded.clean_bytes;
+    for (auto& entry : loaded.entries) entries.push_back(std::move(entry));
   }
-
   JournalWriter journal(shard_journal_path(options.journal_path, shard),
-                        /*fresh=*/false);
-  ClaimsFile claims(shard_claims_path(options.journal_path));
-  CellCache& cache = CellCache::instance();
+                        own_clean_bytes, shard, options.n_shards);
+  CampaignReport pass;
+  const Unresolved todo =
+      resolve_in_spec_order(spec, entries, &journal, pass);
 
   ShardWorkerReport report;
   report.shard = shard;
+  std::unordered_set<std::uint64_t> seen;  // a worker counts unique cells
+  for (const CellOutcome& out : pass.outcomes) {
+    if (!seen.insert(out.hash).second) continue;
+    if (out.source == CellSource::kJournal) ++report.cells_resumed;
+    if (out.source == CellSource::kCache) ++report.cells_from_cache;
+  }
 
-  // Unique unresolved cells in spec order, split owned / stealable.
   std::vector<std::size_t> own, others;
-  std::unordered_set<std::uint64_t> seen;
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    const std::uint64_t hash = spec.cells[i].content_hash();
-    if (!seen.insert(hash).second) continue;
-    if (journaled.count(hash) > 0) {
-      ++report.cells_resumed;
-      continue;
-    }
-    if (hash % options.n_shards == shard) {
-      own.push_back(i);
-    } else {
-      others.push_back(i);
-    }
+  for (const std::size_t i : todo.first) {
+    (pass.outcomes[i].hash % options.n_shards == shard ? own : others)
+        .push_back(i);
   }
   report.cells_owned = own.size();
 
-  std::mutex state_mutex;
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  auto compute_cell = [&](std::size_t i, bool stolen) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (first_error) return;
-    }
-    try {
-      const CellSpec& cell = spec.cells[i];
-      const std::uint64_t hash = cell.content_hash();
-      if (!claims.claim(hash, shard)) return;  // another worker has it
-      std::string result;
-      double dt = 0.0;
-      const bool from_cache = cache.lookup(hash, &result);
-      if (!from_cache) {
-        const auto t0 = std::chrono::steady_clock::now();
-        result = evaluators[i](cell);
-        dt = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-        obs::observe("campaign.cell.seconds", dt);
-      }
-      // Cache-resolved cells still land in this shard's journal, so the
-      // merged journal set replays the whole campaign on its own.
-      std::string extras = "\"shard\":" + std::to_string(shard) +
-                           ",\"stolen\":" + (stolen ? "1" : "0") +
-                           ",\"t_s\":" + format_param(dt) + ",";
-      journal.append(cell, hash, result, extras);
-      if (!from_cache) cache.insert(hash, result);
-      std::lock_guard<std::mutex> lock(state_mutex);
-      if (from_cache) {
-        ++report.cells_from_cache;
-      } else {
-        ++report.cells_computed;
-        if (stolen) {
-          ++report.cells_stolen;
-          obs::count("campaign.cells.stolen");
-        }
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-
-  auto run_list = [&](const std::vector<std::size_t>& list, bool stolen) {
-    auto body = [&](std::size_t j) { compute_cell(list[j], stolen); };
-    if (list.size() <= 1 || parallel_thread_count() <= 1 ||
-        detail::in_pool_worker()) {
-      for (std::size_t j = 0; j < list.size(); ++j) body(j);
-    } else {
-      detail::pool_run(list.size(), body);
-    }
+  ClaimsFile claims(shard_claims_path(options.journal_path));
+  const auto claim = [&](std::uint64_t hash) {
+    return claims.claim(hash, shard);
   };
   // Own shard first; only a worker whose backlog has drained starts
   // stealing, so stealing strictly helps stragglers.
-  run_list(own, /*stolen=*/false);
-  run_list(others, /*stolen=*/true);
-  if (first_error) std::rethrow_exception(first_error);
-
+  for (const bool stolen : {false, true}) {
+    for (const double dt :
+         compute_cells(pass.outcomes, stolen ? others : own, journal, claim)) {
+      if (dt < 0.0) continue;  // another worker won the claim
+      obs::observe("campaign.cell.seconds", dt);
+      ++report.cells_computed;
+      if (stolen) ++report.cells_stolen;
+    }
+  }
+  if (report.cells_stolen > 0) {
+    obs::count("campaign.cells.stolen", report.cells_stolen);
+  }
   obs::count("campaign.cells.computed", report.cells_computed);
   obs::count("campaign.cells.resumed", report.cells_resumed);
   obs::count("campaign.cache.hits", report.cells_from_cache);
@@ -790,14 +747,11 @@ ShardMergeReport merge_campaign_shards(const CampaignSpec& spec,
     throw std::invalid_argument("campaign: merge needs a journal path");
   }
   ShardMergeReport merge;
-  CampaignReport& report = merge.report;
-  report.name = spec.name;
-  report.cells_total = spec.cells.size();
-
-  std::unordered_map<std::uint64_t, std::string> results;
+  std::vector<JournalEntry> entries;
+  std::unordered_set<std::uint64_t> merged;  // distinct journaled hashes
   for (std::size_t k = 0; k < options.n_shards; ++k) {
     for (auto& entry :
-         read_campaign_journal(shard_journal_path(options.journal_path, k))) {
+         load_journal(shard_journal_path(options.journal_path, k)).entries) {
       if (entry.stolen) ++merge.cells_stolen;
       if (entry.seconds > 0.0) {
         const std::size_t writer =
@@ -806,118 +760,20 @@ ShardMergeReport merge_campaign_shards(const CampaignSpec& spec,
                          ".cell.seconds",
                      entry.seconds);
       }
-      results.emplace(entry.hash, std::move(entry.result_json));
+      merged.insert(entry.hash);
+      entries.push_back(std::move(entry));
     }
   }
-
-  // Spec order, exactly like the single-process report: when every cell is
-  // covered, results_json() is byte-identical to an unsharded run.
-  report.outcomes.resize(spec.cells.size());
-  std::unordered_set<std::uint64_t> missing;
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    CellOutcome& out = report.outcomes[i];
-    out.spec = spec.cells[i];
-    out.hash = spec.cells[i].content_hash();
-    const auto it = results.find(out.hash);
-    if (it != results.end()) {
-      out.result_json = it->second;
-      out.source = CellSource::kJournal;
-      ++report.cells_resumed;
-    } else if (missing.insert(out.hash).second) {
-      ++merge.cells_missing;
-    }
-  }
+  // Spec order, journals only: when every cell is covered, results_json()
+  // is byte-identical to an unsharded run. Whatever the pass leaves
+  // unresolved, no shard journaled.
+  merge.cells_missing =
+      resolve_in_spec_order(spec, entries, nullptr, merge.report)
+          .first.size();
   obs::count("campaign.shards", options.n_shards);
-  obs::count("campaign.cells.merged", results.size());
+  obs::count("campaign.cells.merged", merged.size());
   obs::count("campaign.cells.missing", merge.cells_missing);
   return merge;
-}
-
-CampaignReport run_campaign_sharded(const CampaignSpec& spec,
-                                    const ShardOptions& options) {
-  if (options.n_shards <= 1 && options.journal_path.empty()) {
-    CampaignOptions single;
-    single.fresh = options.fresh;
-    return run_campaign(spec, single);
-  }
-  if (options.journal_path.empty()) {
-    throw std::invalid_argument("campaign: sharded run needs a journal path");
-  }
-  reset_campaign_claims(options);
-
-  // One thread per worker; each worker still shards its own cell list over
-  // the shared pool, and the claims file keeps the fleet exactly-once.
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(options.n_shards);
-  for (std::size_t k = 0; k < options.n_shards; ++k) {
-    workers.emplace_back([&, k] {
-      try {
-        run_campaign_shard(spec, options, k);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
-
-  ShardMergeReport merged = merge_campaign_shards(spec, options);
-  if (!merged.complete()) {
-    throw std::runtime_error("campaign: merge is missing " +
-                             std::to_string(merged.cells_missing) +
-                             " cells (resume to fill the gaps)");
-  }
-  return std::move(merged.report);
-}
-
-namespace {
-
-// Strict full-string parse of IVNET_SHARDS, mirroring IVNET_THREADS /
-// IVNET_BATCH: "3" is a fleet of three, "3abc"/"abc"/"0" warn once and
-// fall back to a single process.
-std::size_t env_shard_count() {
-  const char* env = std::getenv("IVNET_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(env, &end, 10);
-  if (env[0] >= '0' && env[0] <= '9' && end != env && *end == '\0' &&
-      errno != ERANGE && value >= 1 && value <= 1024) {
-    return static_cast<std::size_t>(value);
-  }
-  static std::once_flag warned;
-  std::call_once(warned, [env] {
-    std::fprintf(stderr,
-                 "ivnet: ignoring invalid IVNET_SHARDS='%s' (expected an "
-                 "integer in 1..1024)\n",
-                 env);
-  });
-  return 1;
-}
-
-}  // namespace
-
-CampaignReport run_bench_campaign(const CampaignSpec& spec,
-                                  const std::string& journal_path) {
-  const std::size_t shards = env_shard_count();
-  if (shards > 1 && !journal_path.empty()) {
-    ShardOptions options;
-    options.journal_path = journal_path;
-    options.n_shards = shards;
-    return run_campaign_sharded(spec, options);
-  }
-  if (shards > 1) {
-    std::fprintf(stderr,
-                 "ivnet: IVNET_SHARDS=%zu needs a journal path; running "
-                 "single-process\n",
-                 shards);
-  }
-  CampaignOptions options;
-  options.journal_path = journal_path;
-  return run_campaign(spec, options);
 }
 
 // --- Built-in evaluators -------------------------------------------------

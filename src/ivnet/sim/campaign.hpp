@@ -53,6 +53,9 @@ struct CellSpec {
   CellSpec& set(const std::string& key, std::size_t value);
 
   std::string param(const std::string& key, const std::string& fallback) const;
+  /// The whole value parsed as a number (std::from_chars, so the locale
+  /// never matters); `fallback` when the key is absent. Throws
+  /// std::invalid_argument when the value is present but not a number.
   double param_num(const std::string& key, double fallback) const;
 
   /// {"kind":...,"params":{...sorted...}} — the content-hash input.
@@ -81,7 +84,6 @@ class CellCache {
   bool lookup(std::uint64_t hash, std::string* result_json) const;
   void insert(std::uint64_t hash, std::string result_json);
   void clear();
-  std::size_t size() const;
 
  private:
   CellCache() = default;
@@ -133,18 +135,19 @@ struct CampaignReport {
 /// Run every cell of `spec`: resolve from journal, then memo cache, and
 /// shard the remainder across the shared pool (one cell per pool chunk —
 /// cells are coarse). Each completed cell is appended to the journal and
-/// fsync'd before it can appear in any final output. Throws
-/// std::invalid_argument when a cell kind has no registered evaluator.
+/// fsync'd before it can appear in any final output. The journal is read
+/// once and opened for appending only when a cell needs a record. Throws
+/// std::invalid_argument, before any cell is evaluated, when a cell still
+/// to compute has no registered evaluator.
 CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 
-/// Durable single-cell memo (the planner's plan store): resolve `spec`
-/// against the journal at `journal_path` (same format and torn-tail rules
-/// as a campaign journal; empty path skips persistence), then the
-/// process-wide CellCache, else compute with the registered evaluator.
-/// A result not already in the journal is appended and fsync'd before this
-/// returns, so an identical spec resolved by a later process replays the
-/// stored bytes instead of recomputing. Calls are serialized process-wide;
+/// Durable single-cell memo (the planner's plan store): a one-cell
+/// run_campaign on the journal at `journal_path` (empty path skips
+/// persistence) that emits no metrics. A result not already in the journal
+/// is appended and fsync'd before this returns, so an identical spec
+/// resolved by a later process replays the stored bytes instead of
+/// recomputing. Calls are serialized process-wide;
 /// cross-process writers of one journal need external coordination (the
 /// intended deployment is one planner process per store, like the
 /// single-process campaign journal). Throws std::invalid_argument for an
@@ -212,8 +215,9 @@ struct ShardWorkerReport {
 
 /// Run ONE worker's share of `spec`: resolve every cell journal (all
 /// shards) -> memo cache -> compute, claiming each cell through the claims
-/// file before evaluating. Own-shard cells first (in spec order, sharded
+/// file before evaluating it. Own-shard cells first (in spec order, sharded
 /// across the thread pool), then steal the other shards' unfinished cells.
+/// The worker appends to its own shard journal only.
 /// Throws std::invalid_argument for an unknown kind and std::runtime_error
 /// when a journal append cannot be made durable.
 ShardWorkerReport run_campaign_shard(const CampaignSpec& spec,
@@ -234,21 +238,6 @@ struct ShardMergeReport {
 /// `campaign.shard<k>.cell.seconds` histograms from the journal metadata.
 ShardMergeReport merge_campaign_shards(const CampaignSpec& spec,
                                        const ShardOptions& options);
-
-/// Single-binary fleet harness (used by the benches and tests): run all
-/// `n_shards` workers concurrently on threads of this process, then merge.
-/// Falls back to plain run_campaign when n_shards <= 1 or the journal path
-/// is empty. Acts as its own coordinator (resets claims; honours fresh).
-CampaignReport run_campaign_sharded(const CampaignSpec& spec,
-                                    const ShardOptions& options);
-
-/// Bench entry point: honour the IVNET_SHARDS environment knob. With
-/// IVNET_SHARDS=N (N > 1) and a non-empty journal path the campaign runs as
-/// an in-process N-worker fleet (run_campaign_sharded); otherwise it is a
-/// plain run_campaign. Invalid IVNET_SHARDS values warn once on stderr and
-/// fall back to 1, mirroring IVNET_THREADS / IVNET_BATCH.
-CampaignReport run_bench_campaign(const CampaignSpec& spec,
-                                  const std::string& journal_path);
 
 namespace detail {
 /// Append one journal record to `file` and make it durable: the fwrite,

@@ -98,6 +98,27 @@ void remove_shard_files(const std::string& base, std::size_t n_shards) {
   std::remove(shard_claims_path(base).c_str());
 }
 
+/// A whole fleet run, one shard after another: shard k computes only the
+/// cells it owns, then the merge. Concurrent in-process workers race for
+/// the pool and one may steal every cell, so byte and journal checks run
+/// the shards in order; FastWorkerStealsStragglerCellsExactlyOnce covers
+/// the concurrent protocol.
+CampaignReport run_shards_in_order(const CampaignSpec& spec,
+                                   const ShardOptions& options) {
+  reset_campaign_claims(options);
+  for (std::size_t k = 0; k < options.n_shards; ++k) {
+    CampaignSpec owned;
+    owned.name = spec.name;
+    for (const auto& c : spec.cells) {
+      if (c.content_hash() % options.n_shards == k) owned.cells.push_back(c);
+    }
+    EXPECT_EQ(run_campaign_shard(owned, options, k).cells_stolen, 0u);
+  }
+  ShardMergeReport merged = merge_campaign_shards(spec, options);
+  EXPECT_TRUE(merged.complete());
+  return std::move(merged.report);
+}
+
 class CampaignShardTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -127,7 +148,7 @@ TEST_F(CampaignShardTest, MergedFleetIsByteIdenticalAtAnyShardAndThreadCount) {
       CellCache::instance().clear();
       remove_shard_files(base, shards);
       ShardOptions options{base, shards, /*fresh=*/true};
-      const CampaignReport report = run_campaign_sharded(spec, options);
+      const CampaignReport report = run_shards_in_order(spec, options);
       EXPECT_EQ(report.results_json(), reference)
           << "diverged at " << shards << " shards x " << threads
           << " threads";
@@ -246,7 +267,7 @@ TEST_F(CampaignShardTest, TornShardJournalTailRecomputesOnlyTheLostCell) {
   remove_shard_files(base, 2);
   ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  run_shards_in_order(spec, options);
 
   // Drop shard 0's last durable record and leave a torn half-line in its
   // place — the tail a SIGKILL mid-fwrite leaves behind.
@@ -269,7 +290,7 @@ TEST_F(CampaignShardTest, TornShardJournalTailRecomputesOnlyTheLostCell) {
   CellCache::instance().clear();
   g_calls.store(0);
   options.fresh = false;  // resume generation
-  const CampaignReport report = run_campaign_sharded(spec, options);
+  const CampaignReport report = run_shards_in_order(spec, options);
   EXPECT_EQ(g_calls.load(), 1) << "only the torn-away cell recomputes";
   EXPECT_EQ(report.results_json(), reference);
   remove_shard_files(base, 2);
@@ -281,7 +302,7 @@ TEST_F(CampaignShardTest, ShardJournalsCarryOwnershipMetadata) {
   remove_shard_files(base, 2);
   const ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  run_campaign_sharded(spec, options);
+  run_shards_in_order(spec, options);
 
   std::size_t records = 0;
   for (std::size_t k = 0; k < 2; ++k) {
@@ -289,6 +310,8 @@ TEST_F(CampaignShardTest, ShardJournalsCarryOwnershipMetadata) {
          read_campaign_journal(shard_journal_path(base, k))) {
       ++records;
       EXPECT_EQ(entry.shard, k) << "journal writer must stamp its shard";
+      EXPECT_EQ(entry.hash % 2, k) << "shard k journals only cells it owns";
+      EXPECT_FALSE(entry.stolen) << "an own cell is never marked stolen";
       EXPECT_GE(entry.seconds, 0.0);
       EXPECT_FALSE(entry.result_json.empty());
     }
@@ -312,20 +335,8 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
   remove_shard_files(base, 2);
   const ShardOptions options{base, 2, /*fresh=*/true};
   CellCache::instance().clear();
-  // Two concurrent workers race: whichever starts first may claim and steal
-  // every cell, leaving the other shard with no timed record. Run the
-  // workers in a fixed order instead: shard 1 on its own cells only, then
-  // shard 0 on the full spec (shard 1's cells resume from its journal, so
-  // shard 0 computes exactly its own), then the merge.
-  CampaignSpec shard1_cells;
-  shard1_cells.name = spec.name;
-  for (const auto& c : spec.cells) {
-    if (c.content_hash() % 2 == 1) shard1_cells.cells.push_back(c);
-  }
-  reset_campaign_claims(options);
-  EXPECT_EQ(run_campaign_shard(shard1_cells, options, 1).cells_stolen, 0u);
-  EXPECT_EQ(run_campaign_shard(spec, options, 0).cells_stolen, 0u);
-  EXPECT_TRUE(merge_campaign_shards(spec, options).complete());
+  // In order, so each shard journals a timed record of its own.
+  run_shards_in_order(spec, options);
   obs::install_null();
 
   std::set<std::uint64_t> unique;
@@ -343,8 +354,10 @@ TEST_F(CampaignShardTest, ObsCountersSurfaceFleetTraffic) {
 
 TEST_F(CampaignShardTest, ShardedRunValidatesItsArguments) {
   const CampaignSpec spec = balanced_spec(2, 1);
-  ShardOptions options{"", 3, false};
-  EXPECT_THROW(run_campaign_sharded(spec, options), std::invalid_argument);
+  EXPECT_THROW(run_campaign_shard(spec, {"", 3, false}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(merge_campaign_shards(spec, {"", 3, false}),
+               std::invalid_argument);
   const std::string base = temp_base("args");
   EXPECT_THROW(run_campaign_shard(spec, {base, 2, false}, 2),
                std::invalid_argument);

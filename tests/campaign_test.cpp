@@ -1,5 +1,6 @@
 // Tests for ivnet/sim/campaign: cell canonicalization and content hashing,
-// journal crash-consistency (torn-tail skipping), kill-and-resume byte
+// strict numeric parameters, journal crash-consistency (torn-tail skipping,
+// no write when nothing is appended), kill-and-resume byte
 // determinism, the process-wide memo cache (duplicate and cross-campaign
 // sharing), thread-count invariance, the obs:: counter surface, and the
 // journal durability contract (failed appends throw; raw \r bytes
@@ -73,6 +74,25 @@ TEST_F(CampaignTest, CanonicalJsonIsSortedAndFixedFormat) {
   reordered.set("antennas", std::size_t{8});
   reordered.set("trials", std::size_t{150});
   EXPECT_EQ(cell.content_hash(), reordered.content_hash());
+}
+
+TEST_F(CampaignTest, ParamNumParsesTheWholeValueOrThrows) {
+  CellSpec cell("synth");
+  cell.set("x", 1.5).set("n", std::size_t{42}).set("tail", "1.5x").set(
+      "word", "abc");
+  EXPECT_EQ(cell.param_num("x", 0.0), 1.5);
+  EXPECT_EQ(cell.param_num("n", 0.0), 42.0);
+  EXPECT_EQ(cell.param_num("absent", 7.0), 7.0) << "absent key: fallback";
+  // Present but not a number: a loud error, not 1.5 or 0.
+  EXPECT_THROW(cell.param_num("tail", 0.0), std::invalid_argument);
+  EXPECT_THROW(cell.param_num("word", 0.0), std::invalid_argument);
+  try {
+    cell.param_num("tail", 0.0);
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("synth"), std::string::npos) << what;
+    EXPECT_NE(what.find("'tail'"), std::string::npos) << what;
+  }
 }
 
 TEST_F(CampaignTest, ContentHashSeparatesKindAndParams) {
@@ -346,6 +366,43 @@ TEST_F(CampaignTest, BuiltinGainCellIsDeterministicAcrossThreads) {
   const std::string eight = run_campaign(spec).results_json();
   EXPECT_EQ(one, eight);
   EXPECT_NE(one.find("\"p50\":"), std::string::npos);
+}
+
+TEST_F(CampaignTest, FullyResumedRunLeavesTheJournalUntouched) {
+  // A resume with nothing to compute never opens the journal for writing:
+  // even a torn tail stays in place until a later run appends a record.
+  const std::string path = temp_journal("untouched");
+  CampaignSpec spec;
+  spec.name = "untouched";
+  spec.cells = {synth_cell(1.0, 2.0), synth_cell(3.0, 4.0)};
+  const std::string reference = run_campaign(spec, {path, true}).results_json();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "{\"hash\":\"fe";
+  }
+  const auto read_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string before = read_bytes();
+  CellCache::instance().clear();
+  const CampaignReport resumed = run_campaign(spec, {path, false});
+  EXPECT_EQ(resumed.cells_resumed, 2u);
+  EXPECT_EQ(resumed.results_json(), reference);
+  EXPECT_EQ(read_bytes(), before);
+
+  // The first append cuts the torn tail away before writing its record.
+  CampaignSpec grown = spec;
+  grown.cells.push_back(synth_cell(5.0, 6.0));
+  CellCache::instance().clear();
+  EXPECT_EQ(run_campaign(grown, {path, false}).cells_computed, 1u);
+  const std::string clean = before.substr(0, before.rfind('\n') + 1);
+  const std::string after = read_bytes();
+  EXPECT_EQ(after.substr(0, clean.size()), clean);
+  EXPECT_EQ(after.find("fe{"), std::string::npos) << "torn tail glued on";
+  EXPECT_EQ(read_campaign_journal(path).size(), 3u);
+  std::remove(path.c_str());
 }
 
 // --- Journal durability and byte fidelity ----------------------------------

@@ -262,8 +262,14 @@ echo "=== ci: Debug spot-check (input validation with asserts enabled) ==="
 # the fir design validation used to vanish. Pin that the throwing contract
 # and the DSP/campaign suites hold in an assert-enabled Debug build too.
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test campaign_test batch_pipeline_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
-ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|campaign_test|batch_pipeline_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+cmake --build build-debug -j "$JOBS" --target signal_test dsp_test dsp_fastpath_test campaign_test campaign_shard_test batch_pipeline_test svc_test loadgen_test obs_test telemetry_test freq_planner_test
+ctest --test-dir build-debug --output-on-failure -R 'signal_test|dsp_test|dsp_fastpath_test|batch_pipeline_test|svc_test|loadgen_test|obs_test|telemetry_test|freq_planner_test'
+# The campaign suites share journals, the memo cache and the pool across
+# cases: repeat them in shuffled order so an order or timing dependence
+# fails here instead of flaking later.
+for suite in campaign_test campaign_shard_test; do
+  build-debug/tests/$suite --gtest_repeat=10 --gtest_shuffle
+done
 
 echo "=== ci: traced sweep artifacts ==="
 mkdir -p "$ARTIFACT_DIR"
