@@ -20,11 +20,14 @@ int main(int argc, char** argv) {
   const CampaignReport report =
       run_campaign(fig13_campaign(), {argc > 1 ? argv[1] : ""});
 
+  const auto num = [](const CellOutcome& outcome, const char* key) {
+    return json_parse(outcome.result_json).value().number_or(key, 0.0);
+  };
   // Cell layout (see fig13_campaign): for n in 1..8 the four panels in
   // order std-air, mini-air, std-water, mini-water; then the gain anchors.
   const auto range_m = [&](std::size_t n, std::size_t panel) {
     const auto& outcome = report.outcomes[(n - 1) * 4 + panel];
-    return json_find_number(outcome.result_json, "max_m", 0.0);
+    return num(outcome, "max_m");
   };
 
   std::printf("=== Fig. 13: maximum operating range vs antenna count ===\n\n");
@@ -52,8 +55,7 @@ int main(int argc, char** argv) {
   const auto& gain8 = report.outcomes[33];
   std::printf("  water-tank gain anchors (cells shared with Fig. 9): "
               "N=1 p50 %.1f, N=8 p50 %.1f\n",
-              json_find_number(gain1.result_json, "p50", 0.0),
-              json_find_number(gain8.result_json, "p50", 0.0));
+              num(gain1, "p50"), num(gain8, "p50"));
   std::printf("campaign: %zu cells (%zu computed, %zu resumed, %zu cache "
               "hits)\n",
               report.cells_total, report.cells_computed, report.cells_resumed,

@@ -31,12 +31,13 @@ int main(int argc, char** argv) {
   for (const auto& outcome : report.outcomes) {
     const auto n =
         static_cast<std::size_t>(outcome.spec.param_num("antennas", 0.0));
-    const double p50 = json_find_number(outcome.result_json, "p50", 0.0);
+    const JsonValue result = json_parse(outcome.result_json).value();
+    const double p50 = result.number_or("p50", 0.0);
     if (n == 1) g1 = p50;
     if (n == 10) g10 = p50;
     std::printf("%-10zu %-12.1f %-12.1f %-12.1f %zu\n", n,
-                json_find_number(outcome.result_json, "p10", 0.0), p50,
-                json_find_number(outcome.result_json, "p90", 0.0), n * n);
+                result.number_or("p10", 0.0), p50,
+                result.number_or("p90", 0.0), n * n);
   }
   std::printf("\nmeasured median at N=10: %.1fx over a single antenna "
               "(paper: ~85x)\n", g1 > 0.0 ? g10 / g1 : 0.0);

@@ -24,7 +24,7 @@ namespace {
 using namespace ivnet;
 
 double num(const CellOutcome& outcome, const char* key) {
-  return json_find_number(outcome.result_json, key, 0.0);
+  return json_parse(outcome.result_json).value().number_or(key, 0.0);
 }
 
 // Cell layout (see x13_campaign): 7 waterfall SNR points, then the

@@ -1,8 +1,19 @@
-// Minimal JSON writer for experiment reports — enough for the CLI and the
-// benches to emit machine-readable results (objects, arrays, strings,
-// numbers, booleans; UTF-8 passthrough with control-character escaping).
+// Minimal JSON for reports and durable state: a streaming writer (objects,
+// arrays, strings, numbers, booleans; control characters escaped) and one
+// validating reader for the subset it emits.
+//
+// json_parse() checks a whole document in one pass (every escape the
+// writer emits, \uXXXX for ASCII included; the JSON number grammar;
+// true/false/null; no trailing bytes) and builds no tree: a JsonValue is a view of its raw
+// bytes, so a stored record can be spliced back out verbatim. Other bytes
+// inside strings pass through, so a hand-built result carrying a raw \r
+// still reads back. Numbers convert only on access, with std::from_chars:
+// locale-free, and the writer's shortest-round-trip doubles read back
+// bit-exact.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,19 +23,72 @@ namespace ivnet {
 /// Escape a string for inclusion inside JSON quotes.
 std::string json_escape(std::string_view text);
 
-/// Flat-field scanner, not a parser: the first number following `"key":`
-/// anywhere in `doc`, or `fallback` when the key is absent. Intended for
-/// pulling known numeric fields back out of documents this writer emitted
-/// (campaign cell results, metric snapshots); keys must be unique in `doc`.
-double json_find_number(std::string_view doc, std::string_view key,
-                        double fallback);
+struct JsonMember;
 
-/// Flat-field scanner for string values: the content of the first
-/// `"key":"..."` in `doc` with basic escapes (\\, \", \n, \t, ...) undone,
-/// or `fallback` when the key is absent or not followed by a string. Same
-/// contract as json_find_number: keys must be unique in `doc`.
-std::string json_find_string(std::string_view doc, std::string_view key,
-                             std::string_view fallback);
+/// One value inside a document json_parse() accepted. It views the
+/// caller's text, which must outlive it and every value taken from it.
+class JsonValue {
+ public:
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Kind kind() const;
+  /// The value's exact bytes (a string keeps its quotes and escapes).
+  std::string_view raw() const { return raw_; }
+
+  /// The number as a double; nullopt when this is not a number or it
+  /// overflows a finite double.
+  std::optional<double> number() const;
+  /// The number as an exact unsigned 64-bit integer; nullopt unless it is
+  /// a plain non-negative integer (no fraction or exponent) below 2^64.
+  std::optional<std::uint64_t> uint64() const;
+  /// The string with every escape undone; nullopt when not a string.
+  std::optional<std::string> string() const;
+
+  /// An object's members, or an array's elements with empty keys, in
+  /// document order; empty for other kinds. Keys are raw: the bytes
+  /// between the key's quotes, escapes intact, which is json_escape(name)
+  /// for a key the writer emitted. Each call re-walks the value's bytes.
+  std::vector<JsonMember> items() const;
+  /// The first member whose raw key is `key`; nullopt when there is none
+  /// or this is not an object.
+  std::optional<JsonValue> find(std::string_view key) const;
+  /// find(key)->number(), or `fallback` when that member is absent or not
+  /// a number.
+  double number_or(std::string_view key, double fallback) const;
+
+ private:
+  friend std::optional<JsonValue> json_parse(std::string_view text,
+                                             std::vector<JsonMember>* items);
+  explicit JsonValue(std::string_view raw) : raw_(raw) {}
+  /// Validates the value starting at `p`: one past its end, or nullptr on
+  /// a syntax error. Collects its items into `items` when given.
+  static const char* scan(const char* p, const char* end, int depth,
+                          std::vector<JsonMember>* items);
+
+  std::string_view raw_;
+};
+
+struct JsonMember {
+  std::string_view key;
+  JsonValue value;
+};
+
+/// The one JSON value `text` holds, surrounding whitespace allowed;
+/// nullopt on any syntax error, any trailing byte, or nesting deeper than
+/// 64 levels. With `items`, the value's items() are collected in the same
+/// pass (left empty on failure), so a caller reading every member of a
+/// record walks its bytes once.
+std::optional<JsonValue> json_parse(std::string_view text,
+                                    std::vector<JsonMember>* items = nullptr);
+
+/// `text` read whole as one JSON number (no whitespace): the strict
+/// parser for numbers that arrive as text outside a document, such as
+/// command-line flags.
+std::optional<double> json_number(std::string_view text);
+/// `text` read whole as an exact unsigned 64-bit decimal integer in the
+/// JSON number grammar: "12abc", "-1", "", "1e3" and "18446744073709551616"
+/// are all nullopt.
+std::optional<std::uint64_t> json_uint64(std::string_view text);
 
 /// Streaming JSON writer with explicit begin/end nesting.
 ///

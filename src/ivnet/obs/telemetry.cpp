@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "ivnet/common/json.hpp"
@@ -331,8 +330,8 @@ std::string exemplar_json(const Exemplar& e) {
   w.field("kind", static_cast<int>(e.kind));
   w.field("trials", static_cast<std::size_t>(e.trials));
   w.field("antennas", static_cast<std::size_t>(e.antennas));
-  // 64-bit identity goes through strings: the flat scanner reads numbers
-  // as doubles, which silently rounds seeds above 2^53.
+  // 64-bit identity goes through decimal strings, so a consumer that reads
+  // JSON numbers as doubles cannot silently round seeds above 2^53.
   w.field("seed", std::to_string(e.seed));
   w.field("snr_db", e.snr_db);
   w.field("medium_loss_db", e.medium_loss_db);
@@ -350,34 +349,38 @@ std::string exemplar_json(const Exemplar& e) {
 }
 
 bool parse_exemplar_line(std::string_view line, Exemplar& out) {
-  if (line.find("\"seed\"") == std::string_view::npos ||
-      line.find("\"response_hash\"") == std::string_view::npos) {
-    return false;
-  }
-  const double bad = std::nan("");
-  const double id = json_find_number(line, "id", bad);
-  const double kind = json_find_number(line, "kind", bad);
-  const double trials = json_find_number(line, "trials", bad);
-  const double antennas = json_find_number(line, "antennas", bad);
-  if (std::isnan(id) || std::isnan(kind) || std::isnan(trials) ||
-      std::isnan(antennas)) {
-    return false;
-  }
-  const std::string seed = json_find_string(line, "seed", "");
-  const std::string hash = json_find_string(line, "response_hash", "");
-  if (seed.empty() || hash.empty()) return false;
+  const std::optional<JsonValue> doc = json_parse(line);
+  if (!doc) return false;
+  // Identity reads back exact: counts and ids as integer JSON numbers, the
+  // 64-bit seed and response hash as whole decimal strings.
+  const auto integer = [&](std::string_view key) {
+    const std::optional<JsonValue> v = doc->find(key);
+    return v ? v->uint64() : std::nullopt;
+  };
+  const auto decimal = [&](std::string_view key) {
+    const std::optional<JsonValue> v = doc->find(key);
+    const std::optional<std::string> text = v ? v->string() : std::nullopt;
+    return text ? json_uint64(*text) : std::nullopt;
+  };
+  const std::optional<std::uint64_t> id = integer("id");
+  const std::optional<std::uint64_t> kind = integer("kind");
+  const std::optional<std::uint64_t> trials = integer("trials");
+  const std::optional<std::uint64_t> antennas = integer("antennas");
+  const std::optional<std::uint64_t> seed = decimal("seed");
+  const std::optional<std::uint64_t> hash = decimal("response_hash");
+  if (!id || !kind || !trials || !antennas || !seed || !hash) return false;
   out = Exemplar{};
-  out.id = static_cast<std::uint64_t>(id);
-  out.kind = static_cast<std::uint32_t>(kind);
-  out.trials = static_cast<std::uint32_t>(trials);
-  out.antennas = static_cast<std::uint32_t>(antennas);
-  out.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  out.response_hash = std::strtoull(hash.c_str(), nullptr, 10);
-  out.snr_db = json_find_number(line, "snr_db", 0.0);
-  out.medium_loss_db = json_find_number(line, "medium_loss_db", 0.0);
-  out.t_s = json_find_number(line, "t_s", 0.0);
-  out.queue_wait_s = json_find_number(line, "queue_wait_s", 0.0);
-  out.service_s = json_find_number(line, "service_s", 0.0);
+  out.id = *id;
+  out.kind = static_cast<std::uint32_t>(*kind);
+  out.trials = static_cast<std::uint32_t>(*trials);
+  out.antennas = static_cast<std::uint32_t>(*antennas);
+  out.seed = *seed;
+  out.response_hash = *hash;
+  out.snr_db = doc->number_or("snr_db", 0.0);
+  out.medium_loss_db = doc->number_or("medium_loss_db", 0.0);
+  out.t_s = doc->number_or("t_s", 0.0);
+  out.queue_wait_s = doc->number_or("queue_wait_s", 0.0);
+  out.service_s = doc->number_or("service_s", 0.0);
   return true;
 }
 

@@ -250,13 +250,16 @@ class ServiceTelemetry {
 };
 
 /// Serialize one exemplar as a single-line JSON object (the JSONL record
-/// format). seed and response_hash are emitted as decimal/hex STRINGS so
-/// 64-bit identity survives the double-typed flat scanner on the way back
-/// in (see parse_exemplar_line).
+/// format). seed and response_hash are emitted as decimal STRINGS, so
+/// 64-bit identity survives any consumer that reads JSON numbers as
+/// doubles.
 std::string exemplar_json(const Exemplar& exemplar);
 
-/// Parse one exemplar_json line back. Returns false when required fields
-/// are missing (blank lines, headers). Tolerates surrounding whitespace.
+/// Parse one exemplar_json line back through the validating JSON reader.
+/// id, kind, trials and antennas must be integer numbers and seed /
+/// response_hash whole decimal u64 strings, all read exactly; returns false
+/// otherwise, and for anything that is not one JSON object (blank lines,
+/// headers). Tolerates surrounding whitespace.
 bool parse_exemplar_line(std::string_view line, Exemplar& out);
 
 }  // namespace ivnet::obs

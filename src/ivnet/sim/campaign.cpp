@@ -10,6 +10,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <stdexcept>
 #include <system_error>
@@ -63,37 +64,57 @@ std::string hash_hex(std::uint64_t hash) {
   return buf;
 }
 
-/// True when `text` is a brace/bracket-balanced JSON fragment starting at
-/// '{' — the cheap structural check that rejects torn journal tails without
-/// pulling in a full parser. Tracks strings so quoted braces don't count.
-bool balanced_json_object(const std::string& text) {
-  if (text.empty() || text.front() != '{') return false;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) return i == text.size() - 1;
-      if (depth < 0) return false;
-    }
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
   }
-  return false;
+  return hash;
+}
+
+/// One journal line as a trusted record, or nullopt. A record is trusted
+/// only when the line is one JSON object whose "hash" is the 16-hex-digit
+/// FNV-1a 64 of its "cell" object's bytes (the cell's canonical_json(),
+/// verbatim) and whose "result" is an object, which is spliced out
+/// verbatim. Shard metadata fields are optional. `members` is scratch
+/// space, reused across records.
+std::optional<JournalEntry> parse_journal_record(
+    std::string_view line, std::vector<JsonMember>& members) {
+  const std::optional<JsonValue> record = json_parse(line, &members);
+  if (!record || record->kind() != JsonValue::Kind::kObject) {
+    return std::nullopt;
+  }
+  std::optional<JsonValue> hash, cell, result;
+  JournalEntry entry{};
+  for (const JsonMember& m : members) {
+    if (m.key == "hash") hash = m.value;
+    if (m.key == "cell") cell = m.value;
+    if (m.key == "result") result = m.value;
+    if (m.key == "shard") {
+      entry.shard = m.value.uint64().value_or(JournalEntry::kNoShard);
+    }
+    if (m.key == "stolen") entry.stolen = m.value.number().value_or(0.0) != 0;
+    if (m.key == "t_s") entry.seconds = m.value.number().value_or(0.0);
+  }
+  if (!hash || !cell || !result ||
+      hash->kind() != JsonValue::Kind::kString ||
+      cell->kind() != JsonValue::Kind::kObject ||
+      result->kind() != JsonValue::Kind::kObject) {
+    return std::nullopt;
+  }
+  // 16 hex digits between the quotes, read whole, equal to the cell's hash.
+  const std::string_view hex = hash->raw().substr(1, hash->raw().size() - 2);
+  entry.hash = fnv1a64(cell->raw());
+  std::uint64_t stored = 0;
+  if (hex.size() != 16 ||
+      std::from_chars(hex.data(), hex.data() + 16, stored, 16).ptr !=
+          hex.data() + 16 ||
+      stored != entry.hash) {
+    return std::nullopt;
+  }
+  entry.result_json = std::string(result->raw());
+  return entry;
 }
 
 /// A journal as read from disk: its trusted records, plus the length of its
@@ -103,8 +124,10 @@ struct LoadedJournal {
   std::size_t clean_bytes = 0;
 };
 
-/// The one journal reader. A record is only trusted when its line is
-/// newline-terminated and well-formed; torn or corrupt lines are skipped.
+/// The one journal reader. Every newline-terminated line must parse as a
+/// trusted record (parse_journal_record); the others are counted as
+/// `campaign.journal.corrupt` and their cells recomputed. A newline-less
+/// tail is a torn append, not corruption: skipped without counting.
 /// Missing file => empty. Binary mode, so a result text carrying \r bytes
 /// cannot shift the byte offsets the writer later truncates to.
 LoadedJournal load_journal(const std::string& path) {
@@ -117,46 +140,23 @@ LoadedJournal load_journal(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
 
+  std::vector<JsonMember> members;
+  std::size_t corrupt = 0;
   std::size_t pos = 0;
   while (pos < content.size()) {
     const std::size_t eol = content.find('\n', pos);
     if (eol == std::string::npos) break;  // torn tail: no newline, skip
-    const std::string line = content.substr(pos, eol - pos);
+    const std::string_view line(content.data() + pos, eol - pos);
     pos = eol + 1;
     journal.clean_bytes = pos;
-
-    // {"hash":"<16 hex>",[shard metadata,]"cell":{...},"result":{...}}
-    static constexpr std::string_view kPrefix = "{\"hash\":\"";
-    if (line.rfind(kPrefix, 0) != 0 || !balanced_json_object(line)) continue;
-    const char* hex = line.data() + kPrefix.size();
-    std::uint64_t hash = 0;
-    if (line.size() <= kPrefix.size() + 16 || hex[16] != '"' ||
-        std::from_chars(hex, hex + 16, hash, 16).ptr != hex + 16) {
-      continue;
+    if (std::optional<JournalEntry> entry =
+            parse_journal_record(line, members)) {
+      journal.entries.push_back(std::move(*entry));
+    } else {
+      ++corrupt;
     }
-    static constexpr std::string_view kResultKey = ",\"result\":";
-    const std::size_t rpos = line.find(kResultKey);
-    if (rpos == std::string::npos) continue;
-    // Everything between the result key and the record's closing brace.
-    std::string result = line.substr(rpos + kResultKey.size(),
-                                     line.size() - (rpos + kResultKey.size()) -
-                                         1);
-    if (!balanced_json_object(result)) continue;
-    JournalEntry entry{};
-    entry.hash = hash;
-    entry.result_json = std::move(result);
-    // Shard metadata lives strictly before the cell field, so scanning only
-    // that prefix can never pick up a same-named key from the result text.
-    const std::size_t cell_pos = line.find("\"cell\":");
-    if (cell_pos != std::string::npos) {
-      const std::string_view head(line.data(), cell_pos);
-      const double shard = json_find_number(head, "shard", -1.0);
-      if (shard >= 0.0) entry.shard = static_cast<std::size_t>(shard);
-      entry.stolen = json_find_number(head, "stolen", 0.0) != 0.0;
-      entry.seconds = json_find_number(head, "t_s", 0.0);
-    }
-    journal.entries.push_back(std::move(entry));
   }
+  if (corrupt > 0) obs::count("campaign.journal.corrupt", corrupt);
   return journal;
 }
 
@@ -374,9 +374,8 @@ void append_journal_record(std::FILE* file, const CellSpec& spec,
                            std::uint64_t hash, const std::string& result_json,
                            const std::string& extras) {
   // `result_json` is spliced in verbatim so a replay reproduces the
-  // evaluator's bytes exactly. `extras` (shard metadata) sits between the
-  // hash and cell fields so the result stays the record's final field —
-  // the reader slices it off the closing brace.
+  // evaluator's bytes exactly; the reader takes it back out by its span.
+  // `extras` (shard metadata) sits between the hash and cell fields.
   const std::string line = "{\"hash\":\"" + hash_hex(hash) + "\"," + extras +
                            "\"cell\":" + spec.canonical_json() +
                            ",\"result\":" + result_json + "}\n";
@@ -428,17 +427,14 @@ std::string CellSpec::param(const std::string& key,
 double CellSpec::param_num(const std::string& key, double fallback) const {
   const auto it = params.find(key);
   if (it == params.end()) return fallback;
-  // from_chars over the whole value, matching the std::to_chars writer:
+  // The whole value in the JSON number grammar, the writer's format:
   // locale-independent, and trailing garbage is an error, not ignored.
-  const std::string& text = it->second;
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size()) {
-    throw std::invalid_argument("campaign: " + kind + " cell parameter '" +
-                                key + "' is not a number: '" + text + "'");
+  if (const std::optional<double> value = json_number(it->second)) {
+    return *value;
   }
-  return value;
+  throw std::invalid_argument("campaign: " + kind + " cell parameter '" +
+                              key + "' is not a number: '" + it->second +
+                              "'");
 }
 
 std::string CellSpec::canonical_json() const {
@@ -453,13 +449,7 @@ std::string CellSpec::canonical_json() const {
 }
 
 std::uint64_t CellSpec::content_hash() const {
-  const std::string canonical = canonical_json();
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (const char c : canonical) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+  return fnv1a64(canonical_json());
 }
 
 // --- Registry / cache ----------------------------------------------------

@@ -10,8 +10,9 @@
 //     killed at any point resumes by replaying the journal: finished cells
 //     are emitted verbatim from their journaled result text, so an
 //     interrupted-then-resumed campaign produces BYTE-IDENTICAL final JSON
-//     to an uninterrupted one, at any IVNET_THREADS. Torn or corrupt
-//     journal lines (the tail of a SIGKILL'd write) are skipped and their
+//     to an uninterrupted one, at any IVNET_THREADS. Every record is
+//     re-verified on load (its hash must match its cell's bytes); torn
+//     tails of a SIGKILL'd write and corrupt records are skipped and their
 //     cells recomputed.
 //   * The CACHE memoizes result text by content hash for the lifetime of
 //     the process, so cells shared between benches (Fig. 9 and Fig. 13
@@ -168,9 +169,11 @@ struct JournalEntry {
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 };
 
-/// Parse a campaign journal, skipping torn or corrupt lines (a record is
-/// only trusted when its line is newline-terminated and well-formed).
-/// Missing file => empty.
+/// Parse a campaign journal. A record is trusted only when its line is
+/// newline-terminated, one JSON object, its "hash" is the FNV-1a 64 of its
+/// "cell" bytes, and its "result" is an object. Other newline-terminated
+/// lines are counted as `campaign.journal.corrupt` and skipped, as is a
+/// torn (newline-less) tail, uncounted. Missing file => empty.
 std::vector<JournalEntry> read_campaign_journal(const std::string& path);
 
 // --- Distributed campaigns -----------------------------------------------

@@ -1,7 +1,6 @@
 #include "ivnet/sim/planner.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -153,35 +152,6 @@ std::string describe(const DeploymentPlan& plan) {
 
 namespace {
 
-/// Parses the first `"key":[n0,n1,...]` numeric array in `doc`
-/// (locale-independent from_chars, matching the JsonWriter output).
-std::vector<double> json_find_number_array(std::string_view doc,
-                                           std::string_view key) {
-  std::vector<double> values;
-  const std::string needle = "\"" + std::string(key) + "\":[";
-  const std::size_t at = doc.find(needle);
-  if (at == std::string_view::npos) return values;
-  std::size_t pos = at + needle.size();
-  while (pos < doc.size() && doc[pos] != ']') {
-    double v = 0.0;
-    const auto [next, ec] =
-        std::from_chars(doc.data() + pos, doc.data() + doc.size(), v);
-    if (ec != std::errc()) break;
-    values.push_back(v);
-    pos = static_cast<std::size_t>(next - doc.data());
-    if (pos < doc.size() && doc[pos] == ',') ++pos;
-  }
-  return values;
-}
-
-std::uint64_t parse_u64(const std::string& text, std::uint64_t fallback) {
-  std::uint64_t value = fallback;
-  const auto [next, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc() && next == text.data() + text.size() ? value
-                                                                : fallback;
-}
-
 /// The "freq_plan" cell evaluator: a pure function of the spec — all
 /// randomness from the spec's seed, scoring from score_seed, result JSON
 /// via the byte-stable JsonWriter.
@@ -197,13 +167,14 @@ std::string evaluate_freq_plan_cell(const CellSpec& cell) {
   config.constraint.query_duration_s =
       cell.param_num("query_duration_s", config.constraint.query_duration_s);
   config.t_max_s = cell.param_num("t_max_s", 1.0);
-  config.score_seed = parse_u64(cell.param("score_seed", "1234"), 1234);
+  config.score_seed =
+      json_uint64(cell.param("score_seed", "1234")).value_or(1234);
   AnnealConfig anneal;
   anneal.moves =
       static_cast<std::size_t>(cell.param_num("moves", anneal.moves));
 
   FrequencyOptimizer optimizer(config);
-  Rng rng(parse_u64(cell.param("seed", "7"), 7));
+  Rng rng(json_uint64(cell.param("seed", "7")).value_or(7));
   const OptimizerResult result = optimizer.optimize_annealed(anneal, rng);
 
   JsonWriter w;
@@ -255,6 +226,10 @@ FrequencyPlanOutcome plan_frequencies(const FrequencyPlanRequest& request,
   plan.scenario_hash = outcome.hash;
   plan.cached = outcome.source != CellSource::kComputed;
   plan.plan_json = outcome.result_json;
+  // The shortest-round-trip JsonWriter doubles parse back exactly, so a
+  // journal-served plan carries the same score/offsets bits as the run
+  // that computed it.
+  const JsonValue stored = json_parse(plan.plan_json).value();
   if (plan.cached) {
     obs::count("planner.cache.hits");
   } else {
@@ -264,15 +239,16 @@ FrequencyPlanOutcome plan_frequencies(const FrequencyPlanRequest& request,
                      std::chrono::steady_clock::now() - t0)
                      .count());
     // Evaluations belong to the computing call only: a hit spends zero.
-    plan.evaluations = static_cast<std::size_t>(
-        json_find_number(plan.plan_json, "evaluations", 0.0));
+    plan.evaluations =
+        static_cast<std::size_t>(stored.number_or("evaluations", 0.0));
   }
-  // The shortest-round-trip JsonWriter doubles parse back exactly, so a
-  // journal-served plan carries the same score/offsets bits as the run
-  // that computed it.
-  plan.score = json_find_number(plan.plan_json, "score", 0.0);
-  plan.rms_hz = json_find_number(plan.plan_json, "rms_hz", 0.0);
-  plan.offsets_hz = json_find_number_array(plan.plan_json, "offsets_hz");
+  plan.score = stored.number_or("score", 0.0);
+  plan.rms_hz = stored.number_or("rms_hz", 0.0);
+  if (const std::optional<JsonValue> offsets = stored.find("offsets_hz")) {
+    for (const JsonMember& f : offsets->items()) {
+      plan.offsets_hz.push_back(f.value.number().value_or(0.0));
+    }
+  }
   return plan;
 }
 

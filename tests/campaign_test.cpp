@@ -1,6 +1,8 @@
 // Tests for ivnet/sim/campaign: cell canonicalization and content hashing,
 // strict numeric parameters, journal crash-consistency (torn-tail skipping,
-// no write when nothing is appended), kill-and-resume byte
+// no write when nothing is appended), self-verifying journal records
+// (hash(cell) check, corrupt-record counting, truncation and byte-flip
+// fuzzing), kill-and-resume byte
 // determinism, the process-wide memo cache (duplicate and cross-campaign
 // sharing), thread-count invariance, the obs:: counter surface, and the
 // journal durability contract (failed appends throw; raw \r bytes
@@ -11,9 +13,11 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
+#include "ivnet/common/json.hpp"
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/obs/metrics.hpp"
 #include "ivnet/obs/obs.hpp"
@@ -43,6 +47,22 @@ CellSpec synth_cell(double a, double b) {
 
 std::string temp_journal(const std::string& name) {
   return testing::TempDir() + "campaign_" + name + ".jsonl";
+}
+
+std::string hash_hex(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 class CampaignTest : public ::testing::Test {
@@ -190,22 +210,135 @@ TEST_F(CampaignTest, JournalHoldsOneFsyncedRecordPerCell) {
 }
 
 TEST_F(CampaignTest, JournalSkipsTornAndCorruptLines) {
+  obs::MetricsRegistry registry;
+  obs::install({&registry, nullptr});
   const std::string path = temp_journal("torn");
+  const std::uint64_t hash = CellSpec("synth").content_hash();
+  const std::string hex = hash_hex(hash);
   {
     std::ofstream out(path, std::ios::binary);
     // Good record.
-    out << "{\"hash\":\"00000000000000ab\",\"cell\":{\"kind\":\"synth\","
+    out << "{\"hash\":\"" << hex << "\",\"cell\":{\"kind\":\"synth\","
            "\"params\":{}},\"result\":{\"sum\":1}}\n";
     // Corrupt: unbalanced braces (but newline-terminated).
-    out << "{\"hash\":\"00000000000000cd\",\"cell\":{\"kind\":\"synth\","
+    out << "{\"hash\":\"" << hex << "\",\"cell\":{\"kind\":\"synth\","
            "\"params\":{}},\"result\":{\"sum\":2}\n";
+    // Corrupt: the hash is not the FNV-1a of the cell bytes.
+    out << "{\"hash\":\"00000000000000cd\",\"cell\":{\"kind\":\"synth\","
+           "\"params\":{}},\"result\":{\"sum\":3}}\n";
     // Torn tail: no trailing newline (SIGKILL mid-write).
     out << "{\"hash\":\"00000000000000ef\",\"cell\":{\"kind\":\"syn";
   }
   const auto entries = read_campaign_journal(path);
+  obs::install_null();
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].hash, 0xabu);
+  EXPECT_EQ(entries[0].hash, hash);
   EXPECT_EQ(entries[0].result_json, "{\"sum\":1}");
+  // Two newline-terminated records were rejected; the torn tail is not
+  // corruption.
+  EXPECT_EQ(registry.counter("campaign.journal.corrupt").value(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignTest, CellWithAResultNamedParamResumes) {
+  // The cell's canonical JSON holds "result":"x" before the record's own
+  // result field; the record must still be read by its fields, not by the
+  // first match of a key.
+  const std::string path = temp_journal("result_param");
+  CampaignSpec spec;
+  spec.name = "result_param";
+  spec.cells = {CellSpec("synth").set("a", "1").set("result", "x")};
+  const std::string cold = run_campaign(spec, {path, true}).results_json();
+  CellCache::instance().clear();
+  const CampaignReport resumed = run_campaign(spec, {path, false});
+  EXPECT_EQ(resumed.cells_resumed, 1u);
+  EXPECT_EQ(resumed.cells_computed, 0u);
+  EXPECT_EQ(resumed.results_json(), cold);
+  EXPECT_EQ(g_synth_calls.load(), 1);
+  EXPECT_EQ(read_file(path).size(), read_file(path).find('\n') + 1)
+      << "the journal must keep exactly one record";
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignTest, RecordCarryingAnotherCellsHashIsNeverSpliced) {
+  // Rewrite the first record's hash to the second cell's: the record now
+  // claims to answer a cell it does not hold. It must be rejected (and the
+  // first cell recomputed), never served as the second cell's result.
+  obs::MetricsRegistry registry;
+  obs::install({&registry, nullptr});
+  const std::string path = temp_journal("swapped_hash");
+  CampaignSpec spec;
+  spec.name = "swapped_hash";
+  spec.cells = {synth_cell(1.0, 2.0), synth_cell(3.0, 4.0)};
+  set_parallel_threads(1);  // journal in spec order: the forged record first
+  const std::string cold = run_campaign(spec, {path, true}).results_json();
+  std::string journal = read_file(path);
+  const std::string first = hash_hex(spec.cells[0].content_hash());
+  const std::size_t at = journal.find(first);
+  ASSERT_LT(at, journal.find('\n'));
+  journal.replace(at, first.size(), hash_hex(spec.cells[1].content_hash()));
+  write_file(path, journal);
+
+  CellCache::instance().clear();
+  g_synth_calls.store(0);
+  const CampaignReport resumed = run_campaign(spec, {path, false});
+  obs::install_null();
+  EXPECT_EQ(resumed.results_json(), cold);
+  EXPECT_EQ(resumed.cells_computed, 1u);
+  EXPECT_EQ(resumed.outcomes[0].source, CellSource::kComputed);
+  EXPECT_EQ(resumed.outcomes[1].source, CellSource::kJournal);
+  EXPECT_EQ(g_synth_calls.load(), 1);
+  EXPECT_EQ(registry.counter("campaign.journal.corrupt").value(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignTest, TruncatedOrFlippedJournalsNeverChangeResults) {
+  // A real three-record journal, one record for a cell with a param named
+  // "result", resumed after (a) truncation at every byte offset and (b) a
+  // single-byte flip at every offset of each record's "hash" and "cell"
+  // fields. Every resume must reproduce the cold results byte for byte.
+  // Flips inside "result" are out of reach of the hash(cell) check: catching
+  // them needs a per-record checksum, which changes the journal format.
+  const std::string path = temp_journal("fuzz");
+  CampaignSpec spec;
+  spec.name = "fuzz";
+  spec.cells = {synth_cell(1.0, 2.0),
+                CellSpec("synth").set("a", "1").set("result", "x"),
+                synth_cell(5.0, 6.0)};
+  const std::string cold = run_campaign(spec, {path, true}).results_json();
+  const std::string journal = read_file(path);
+  const auto resumes_to_cold = [&](const std::string& bytes) {
+    write_file(path, bytes);
+    CellCache::instance().clear();
+    return run_campaign(spec, {path, false}).results_json() == cold;
+  };
+
+  for (std::size_t cut = 0; cut <= journal.size(); ++cut) {
+    EXPECT_TRUE(resumes_to_cold(journal.substr(0, cut))) << "cut " << cut;
+  }
+
+  std::size_t flips = 0;
+  for (std::size_t line = 0; line < journal.size();
+       line = journal.find('\n', line) + 1) {
+    const std::string_view record(journal.data() + line,
+                                  journal.find('\n', line) - line);
+    const JsonValue cell = json_parse(record).value().find("cell").value();
+    // From the "hash" key through the end of the cell object.
+    const std::size_t end =
+        static_cast<std::size_t>(cell.raw().data() - journal.data()) +
+        cell.raw().size();
+    for (std::size_t at = line + 1; at < end; ++at) {
+      for (const char mask : {'\x01', '\x20', '\x80'}) {
+        std::string flipped = journal;
+        flipped[at] = static_cast<char>(flipped[at] ^ mask);
+        EXPECT_TRUE(resumes_to_cold(flipped))
+            << "flip 0x" << std::hex << int(static_cast<unsigned char>(mask))
+            << std::dec << " at byte " << at;
+        ++flips;
+      }
+    }
+  }
+  EXPECT_GT(flips, 3u * 3u * 40u);
   std::remove(path.c_str());
 }
 
@@ -244,12 +377,7 @@ TEST_F(CampaignTest, KilledRunResumesByteIdentical) {
   set_parallel_threads(1);
   const std::string uninterrupted = run_campaign(spec, {path, true}).results_json();
 
-  std::string journal;
-  {
-    std::ifstream in(path, std::ios::binary);
-    journal.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-  }
+  const std::string journal = read_file(path);
   const std::size_t first_nl = journal.find('\n');
   ASSERT_NE(first_nl, std::string::npos);
   {
@@ -380,17 +508,12 @@ TEST_F(CampaignTest, FullyResumedRunLeavesTheJournalUntouched) {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << "{\"hash\":\"fe";
   }
-  const auto read_bytes = [&] {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string before = read_bytes();
+  const std::string before = read_file(path);
   CellCache::instance().clear();
   const CampaignReport resumed = run_campaign(spec, {path, false});
   EXPECT_EQ(resumed.cells_resumed, 2u);
   EXPECT_EQ(resumed.results_json(), reference);
-  EXPECT_EQ(read_bytes(), before);
+  EXPECT_EQ(read_file(path), before);
 
   // The first append cuts the torn tail away before writing its record.
   CampaignSpec grown = spec;
@@ -398,7 +521,7 @@ TEST_F(CampaignTest, FullyResumedRunLeavesTheJournalUntouched) {
   CellCache::instance().clear();
   EXPECT_EQ(run_campaign(grown, {path, false}).cells_computed, 1u);
   const std::string clean = before.substr(0, before.rfind('\n') + 1);
-  const std::string after = read_bytes();
+  const std::string after = read_file(path);
   EXPECT_EQ(after.substr(0, clean.size()), clean);
   EXPECT_EQ(after.find("fe{"), std::string::npos) << "torn tail glued on";
   EXPECT_EQ(read_campaign_journal(path).size(), 3u);

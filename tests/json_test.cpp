@@ -1,14 +1,26 @@
-// Tests for ivnet/common/json: escaping and writer structure.
+// Tests for ivnet/common/json: escaping, writer structure, and the
+// validating reader (spans, escapes, lazy exact numbers, rejections).
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
+#include <string>
 
 #include "ivnet/common/json.hpp"
 
 namespace ivnet {
 namespace {
+
+/// The document parsed, or a test failure.
+JsonValue parse_ok(std::string_view text) {
+  const std::optional<JsonValue> doc = json_parse(text);
+  EXPECT_TRUE(doc.has_value()) << text;
+  return doc.value();
+}
 
 TEST(JsonEscape, PassthroughAndSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -143,73 +155,158 @@ TEST(JsonWriter, DoubleFormattingRoundTrips) {
     const double parsed = std::strtod(doc.c_str() + 1, nullptr);
     EXPECT_EQ(std::signbit(parsed), std::signbit(v)) << doc;
     EXPECT_EQ(parsed, v) << doc;
+    // The reader's from_chars conversion gives back the same bits.
+    const double read = parse_ok(doc).items().at(0).value.number().value();
+    EXPECT_EQ(std::signbit(read), std::signbit(v)) << doc;
+    EXPECT_EQ(read, v) << doc;
   }
 }
 
-TEST(JsonFindString, PullsStringsBackOutOfWriterOutput) {
+// --- Reader ----------------------------------------------------------------
+
+TEST(JsonReader, PullsStringsBackOutOfWriterOutput) {
   JsonWriter w;
   w.begin_object();
   w.field("name", "decode");
   w.field("seed", "18446744073709551615");  // u64 max as a decimal string
   w.field("note", "line1\nline2\t\"quoted\"");
   w.end_object();
-  const std::string doc = w.str();
-  EXPECT_EQ(json_find_string(doc, "name", ""), "decode");
-  EXPECT_EQ(json_find_string(doc, "seed", ""), "18446744073709551615");
-  EXPECT_EQ(json_find_string(doc, "note", ""), "line1\nline2\t\"quoted\"");
+  const JsonValue doc = parse_ok(w.str());
+  EXPECT_EQ(doc.find("name")->string(), "decode");
+  EXPECT_EQ(doc.find("seed")->string(), "18446744073709551615");
+  EXPECT_EQ(json_uint64(*doc.find("seed")->string()),
+            std::uint64_t{18446744073709551615u});
+  EXPECT_EQ(doc.find("note")->string(), "line1\nline2\t\"quoted\"");
 }
 
-TEST(JsonFindString, FallbackWhenAbsentMistypedOrUnterminated) {
-  EXPECT_EQ(json_find_string("{\"a\":\"x\"}", "b", "dflt"), "dflt");
-  EXPECT_EQ(json_find_string("{\"a\":42}", "a", "dflt"), "dflt");
-  EXPECT_EQ(json_find_string("{\"a\":\"unterminated", "a", "dflt"), "dflt");
-  EXPECT_EQ(json_find_string("", "a", "dflt"), "dflt");
-  // Space between colon and the opening quote is fine.
-  EXPECT_EQ(json_find_string("{\"a\":  \"ok\"}", "a", ""), "ok");
+TEST(JsonReader, EveryControlCharacterRoundTrips) {
+  // The writer \u-escapes the control characters without a short form; the
+  // reader must undo every one of 0x00..0x1f, not drop the backslash.
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string text = "a" + std::string(1, static_cast<char>(c)) + "b";
+    JsonWriter w;
+    w.begin_array().value(text).end_array();
+    const std::vector<JsonMember> items = parse_ok(w.str()).items();
+    ASSERT_EQ(items.size(), 1u);
+    EXPECT_EQ(items[0].value.string(), text) << "control char " << c;
+  }
+  EXPECT_EQ(parse_ok("\"\\u0041\\/\"").string(), "A/");
+  // \u escapes beyond ASCII are outside the writer's subset.
+  EXPECT_FALSE(json_parse("\"\\u00e9\"").has_value());
 }
 
-TEST(JsonFindNumber, PullsFieldsBackOutOfWriterOutput) {
+TEST(JsonReader, AbsentOrMistypedMembers) {
+  const JsonValue doc = parse_ok("{\"a\":\"x\",\"n\":42}");
+  EXPECT_FALSE(doc.find("b").has_value());
+  EXPECT_FALSE(doc.find("n")->string().has_value());
+  EXPECT_FALSE(doc.find("a")->number().has_value());
+  EXPECT_DOUBLE_EQ(doc.number_or("a", -7.0), -7.0);
+  EXPECT_DOUBLE_EQ(doc.number_or("b", -7.0), -7.0);
+  EXPECT_FALSE(parse_ok("[1]").find("a").has_value());
+  // Whitespace between every token is fine.
+  EXPECT_EQ(parse_ok(" {\"a\" :  \"ok\" } ").find("a")->string(), "ok");
+}
+
+TEST(JsonReader, PullsNumbersBackOutOfWriterOutput) {
   JsonWriter w;
   w.begin_object();
   w.field("p50", 85.25);
   w.field("trials", std::size_t{150});
   w.field("loss_db", -12.5);
   w.end_object();
-  const std::string doc = w.str();
-  EXPECT_DOUBLE_EQ(json_find_number(doc, "p50", 0.0), 85.25);
-  EXPECT_DOUBLE_EQ(json_find_number(doc, "trials", 0.0), 150.0);
-  EXPECT_DOUBLE_EQ(json_find_number(doc, "loss_db", 0.0), -12.5);
+  const JsonValue doc = parse_ok(w.str());
+  EXPECT_DOUBLE_EQ(doc.number_or("p50", 0.0), 85.25);
+  EXPECT_DOUBLE_EQ(doc.number_or("trials", 0.0), 150.0);
+  EXPECT_EQ(doc.find("trials")->uint64(), 150u);
+  EXPECT_DOUBLE_EQ(doc.number_or("loss_db", 0.0), -12.5);
+  EXPECT_FALSE(doc.find("loss_db")->uint64().has_value());
+  EXPECT_DOUBLE_EQ(parse_ok("{\"x\": 2.5e-3}").number_or("x", 0.0), 2.5e-3);
 }
 
-TEST(JsonFindNumber, FallbackWhenAbsentOrNotANumber) {
-  EXPECT_DOUBLE_EQ(json_find_number("{\"a\":1}", "b", -7.0), -7.0);
-  EXPECT_DOUBLE_EQ(json_find_number("{\"a\":\"text\"}", "a", -7.0), -7.0);
-  EXPECT_DOUBLE_EQ(json_find_number("", "a", 3.5), 3.5);
-  // Scientific notation and surrounding space are fine.
-  EXPECT_DOUBLE_EQ(json_find_number("{\"x\": 2.5e-3}", "x", 0.0), 2.5e-3);
-}
-
-TEST(JsonFindNumber, SkipsAnyJsonWhitespaceAfterTheColon) {
+TEST(JsonReader, SkipsAnyJsonWhitespaceAroundTokens) {
   // Pretty-printed documents put tabs and newlines after the colon; all
   // four JSON whitespace bytes are legal there.
-  EXPECT_DOUBLE_EQ(json_find_number("{\"x\":\t4.5}", "x", 0.0), 4.5);
-  EXPECT_DOUBLE_EQ(json_find_number("{\"x\":\n  -2}", "x", 0.0), -2.0);
-  EXPECT_DOUBLE_EQ(json_find_number("{\"x\":\r\n7e2}", "x", 0.0), 700.0);
-  EXPECT_DOUBLE_EQ(json_find_number("{\"x\": \t", "x", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(parse_ok("{\"x\":\t4.5}").number_or("x", 0.0), 4.5);
+  EXPECT_DOUBLE_EQ(parse_ok("{\"x\":\n  -2}").number_or("x", 0.0), -2.0);
+  EXPECT_DOUBLE_EQ(parse_ok("{\"x\":\r\n7e2}").number_or("x", 0.0), 700.0);
+  EXPECT_FALSE(json_parse("{\"x\": \t").has_value());
 }
 
-TEST(JsonFindNumber, ParsesIndependentlyOfTheProcessLocale) {
+TEST(JsonReader, ParsesIndependentlyOfTheProcessLocale) {
   // strtod under a comma-decimal locale reads "0.5" as 0 and journals
   // written on one machine would parse differently on another; the
-  // from_chars parser must not consult the locale at all.
+  // from_chars conversion must not consult the locale at all.
   if (std::setlocale(LC_NUMERIC, "de_DE.UTF-8") == nullptr) {
     GTEST_SKIP() << "de_DE.UTF-8 locale not installed";
   }
-  const double gain = json_find_number("{\"gain\":0.5}", "gain", -1.0);
-  const double sci = json_find_number("{\"ber\":2.5e-3}", "ber", -1.0);
+  const double gain = parse_ok("{\"gain\":0.5}").number_or("gain", -1.0);
+  const double sci = parse_ok("{\"ber\":2.5e-3}").number_or("ber", -1.0);
+  const std::optional<double> flag = json_number("0.25");
   std::setlocale(LC_NUMERIC, "C");
   EXPECT_DOUBLE_EQ(gain, 0.5);
   EXPECT_DOUBLE_EQ(sci, 2.5e-3);
+  EXPECT_EQ(flag, 0.25);
+}
+
+TEST(JsonReader, ValuesViewTheirRawSpans) {
+  const std::string text =
+      "{\"hash\":\"00ab\",\"cell\":{\"k\":[1,{\"}\":\"]\"}]},\"result\":"
+      "{\"sum\":1},\"t\":true,\"f\":false,\"z\":null}";
+  const JsonValue doc = parse_ok(text);
+  EXPECT_EQ(doc.raw(), text);
+  EXPECT_EQ(doc.kind(), JsonValue::Kind::kObject);
+  EXPECT_EQ(doc.find("hash")->raw(), "\"00ab\"");
+  EXPECT_EQ(doc.find("cell")->raw(), "{\"k\":[1,{\"}\":\"]\"}]}");
+  EXPECT_EQ(doc.find("result")->raw(), "{\"sum\":1}");
+  EXPECT_EQ(doc.find("t")->kind(), JsonValue::Kind::kBool);
+  EXPECT_EQ(doc.find("z")->kind(), JsonValue::Kind::kNull);
+  const std::vector<JsonMember> members = doc.items();
+  ASSERT_EQ(members.size(), 6u);
+  EXPECT_EQ(members[1].key, "cell");
+  // Collected while parsing: the same items, in one pass over the bytes.
+  std::vector<JsonMember> collected = {members[0]};
+  ASSERT_TRUE(json_parse(text, &collected).has_value());
+  ASSERT_EQ(collected.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(collected[i].key, members[i].key);
+    EXPECT_EQ(collected[i].value.raw(), members[i].value.raw());
+  }
+  EXPECT_FALSE(json_parse("{\"a\":1,\"b\":", &collected).has_value());
+  EXPECT_TRUE(collected.empty()) << "a failed parse leaves no items";
+  // The first of duplicate keys wins.
+  EXPECT_DOUBLE_EQ(parse_ok("{\"a\":1,\"a\":2}").number_or("a", 0.0), 1.0);
+}
+
+TEST(JsonReader, RejectsMalformedInput) {
+  const char* bad[] = {
+      "",           " ",         "{",          "}",         "{\"a\":1",
+      "{\"a\":1}x", "{\"a\" 1}", "{a:1}",      "{\"a\":1,}", "[1,]",
+      "[1 2]",      "\"open",    "\"\\x\"",    "\"\\u12\"",  "\"\\u0g00\"",
+      "01",         "1.",        ".5",         "+1",         "-",
+      "1e",         "1e+",       "tru",        "nulls",      "NaN",
+      "{\"a\":1}{}",
+  };
+  for (const char* text : bad) {
+    EXPECT_FALSE(json_parse(text).has_value()) << "accepted: " << text;
+  }
+  const std::string deep = std::string(65, '[') + std::string(65, ']');
+  EXPECT_FALSE(json_parse(deep).has_value());
+  const std::string ok = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(json_parse(ok).has_value());
+}
+
+TEST(JsonReader, WholeTextNumbers) {
+  EXPECT_EQ(json_number("-5"), -5.0);
+  EXPECT_EQ(json_number("1e3"), 1000.0);
+  EXPECT_FALSE(json_number("abc").has_value());
+  EXPECT_FALSE(json_number("4 ").has_value());
+  EXPECT_FALSE(json_number("1e999").has_value());
+  EXPECT_EQ(json_uint64("18446744073709551615"),
+            std::uint64_t{18446744073709551615u});
+  for (const char* text : {"12abc", "-1", "", "18446744073709551616", "1e3",
+                           "1.0", "007", " 1"}) {
+    EXPECT_FALSE(json_uint64(text).has_value()) << text;
+  }
 }
 
 }  // namespace

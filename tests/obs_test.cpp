@@ -315,8 +315,13 @@ TEST(HistogramTest, SnapshotWhileRecordingIsNeverTorn) {
     }
     // The full JSON path too: it must assemble each histogram from one view.
     const std::string snapshot = reg.snapshot_json();
-    const auto count = static_cast<std::uint64_t>(
-        json_find_number(snapshot, "count", -1.0));
+    const std::uint64_t count = json_parse(snapshot)
+                                    .value()
+                                    .find("histograms")
+                                    ->find("live")
+                                    ->find("count")
+                                    ->uint64()
+                                    .value();
     EXPECT_GE(count, view.count) << "count can only grow";
   }
   stop.store(true);

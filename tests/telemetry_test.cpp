@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <csignal>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,6 +247,38 @@ TEST(ExemplarJson, ParseRejectsBlankAndForeignLines) {
   EXPECT_FALSE(parse_exemplar_line("{\"id\":1,\"kind\":0}", out));
 }
 
+TEST(ExemplarJson, IdentityReadsBackExactly) {
+  // Above 2^53 a double cannot hold every id; the reader must not round.
+  Exemplar e;
+  e.id = (std::uint64_t{1} << 53) + 1;
+  e.seed = 18446744073709551615u;
+  e.response_hash = 1;
+  Exemplar parsed;
+  ASSERT_TRUE(parse_exemplar_line(exemplar_json(e), parsed));
+  EXPECT_EQ(parsed.id, e.id);
+  EXPECT_EQ(parsed.seed, e.seed);
+}
+
+TEST(ExemplarJson, ParseRejectsMalformedDecimalIdentity) {
+  // seed and response_hash must be whole decimal u64 strings: no trailing
+  // garbage, no sign, not empty, no overflow.
+  const std::string good = exemplar_json(Exemplar{});
+  Exemplar out;
+  ASSERT_TRUE(parse_exemplar_line(good, out));
+  for (const char* bad : {"12abc", "-1", "", "18446744073709551616"}) {
+    for (const char* key : {"\"seed\":\"", "\"response_hash\":\""}) {
+      std::string line = good;
+      const std::size_t at = line.find(key) + std::strlen(key);
+      line.replace(at, line.find('"', at) - at, bad);
+      EXPECT_FALSE(parse_exemplar_line(line, out)) << line;
+    }
+  }
+  // ids are integers: a fraction or a string is not an id.
+  std::string fractional = good;
+  fractional.replace(fractional.find("\"id\":0"), 6, "\"id\":0.5");
+  EXPECT_FALSE(parse_exemplar_line(fractional, out)) << fractional;
+}
+
 // ---------------------------------------------------------------------------
 // ServiceTelemetry
 
@@ -266,7 +299,8 @@ TEST(ServiceTelemetry, SampleJsonShapeAndWindowSemantics) {
   EXPECT_NE(sample.find("\"window_s\":10"), std::string::npos);
   EXPECT_NE(sample.find("\"window_s\":60"), std::string::npos);
   // Window semantics: 1/10/60 s trailing windows see 1/10/30 completions.
-  EXPECT_DOUBLE_EQ(json_find_number(sample, "completed", -1.0), 1.0);
+  const JsonValue windows = json_parse(sample).value().find("windows").value();
+  EXPECT_EQ(windows.items().at(0).value.find("completed")->uint64(), 1u);
   EXPECT_EQ(t.completed().total_over(10.0, 29.5), 10u);
   EXPECT_EQ(t.completed().total_over(60.0, 29.5), 30u);
   EXPECT_EQ(t.shed().total_over(1.0, 29.5), 1u);

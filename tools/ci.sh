@@ -9,7 +9,8 @@
 # unsaturated — run with live telemetry attached: the time-series JSONL is
 # schema-checked, the flight-recorder dump is validated as Chrome trace
 # JSON, and every captured tail-latency exemplar must replay to its
-# recorded response hash — a large-N planner stage (delta evaluator
+# recorded response hash — strict CLI number parsing (malformed numeric
+# flags exit 2) — a large-N planner stage (delta evaluator
 # memcmp-gated against the full rebuild and a naive double-precision
 # oracle, then a plan/re-plan pair across fresh processes whose stored plan
 # JSONs must cmp equal with zero evaluations on the hit) — a small
@@ -250,6 +251,18 @@ test -s "$ARTIFACT_DIR/SOAK_exemplars.jsonl" || {
   exit 1
 }
 build-ci/tools/ivnet replay-exemplar --in "$ARTIFACT_DIR/SOAK_exemplars.jsonl"
+
+echo "=== ci: CLI numbers fail loudly ==="
+# Numeric flags go through the JSON number grammar: a non-numeric value, a
+# seed that is not an exact u64 and a negative rate (`-5` is a value, not a
+# flag) must each exit 2 before any work.
+for cmd in "plan --antennas abc" "plan --seed 18446744073709551616" \
+    "serve --rate -5 --requests 10"; do
+  rc=0
+  build-ci/tools/ivnet $cmd >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "ci: 'ivnet $cmd' exited $rc, not 2" >&2; exit 1; }
+done
+echo "ci: malformed numeric flags exit 2"
 
 echo "=== ci: AddressSanitizer ==="
 build_and_test build-asan -DIVNET_SANITIZE=address

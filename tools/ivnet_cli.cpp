@@ -40,6 +40,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +66,11 @@ namespace {
 
 using namespace ivnet;
 
+/// A malformed command line: dispatch() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::string command;
   std::vector<std::string> positional;  ///< non-flag tokens after the command
@@ -75,12 +81,37 @@ struct Args {
     const auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second;
   }
+  /// The whole value in the JSON number grammar; anything else is a
+  /// UsageError naming the flag.
   double get_num(const std::string& name, double fallback) const {
+    return get_parsed(name, fallback, json_number, "a number");
+  }
+  /// Seeds and ids: exact unsigned 64-bit decimal, never through a double.
+  std::uint64_t get_u64(const std::string& name,
+                        std::uint64_t fallback) const {
+    return get_parsed(name, fallback, json_uint64,
+                      "a non-negative integer");
+  }
+  /// Counts: a get_u64 raised to at least `min`.
+  std::size_t get_count(const std::string& name, std::size_t fallback,
+                        std::size_t min = 0) const {
+    return std::max<std::size_t>(min, get_u64(name, fallback));
+  }
+
+ private:
+  template <typename T, typename Parse>
+  T get_parsed(const std::string& name, T fallback, Parse parse,
+               const char* what) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    if (const std::optional<T> value = parse(it->second)) return *value;
+    throw UsageError("--" + name + " expects " + what + ", got '" +
+                     it->second + "'");
   }
 };
 
+/// `--flag value` pairs; a bare `--flag` reads as "1". Any token that does
+/// not start with "--" is a value, so `--snr -5` is negative five.
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
@@ -91,7 +122,7 @@ Args parse_args(int argc, char** argv) {
       continue;
     }
     token.erase(0, 2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       args.flags[token] = argv[++i];
     } else {
       args.flags[token] = "1";
@@ -113,15 +144,11 @@ int cmd_plan(const Args& args) {
   // two runs' outputs `cmp` equal). Without --journal the plan is still
   // memoized for this process.
   FrequencyPlanRequest request;
-  request.antennas = static_cast<std::size_t>(
-      std::max(2.0, args.get_num("antennas", 10)));
-  request.mc_trials = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("trials", 48)));
-  request.moves = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("moves", 400)));
-  request.restarts = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("restarts", 2)));
-  request.seed = static_cast<std::uint64_t>(args.get_num("seed", 7));
+  request.antennas = args.get_count("antennas", 10, 2);
+  request.mc_trials = args.get_count("trials", 48, 1);
+  request.moves = args.get_count("moves", 400, 1);
+  request.restarts = args.get_count("restarts", 2, 1);
+  request.seed = args.get_u64("seed", 7);
 
   FrequencyPlanOutcome plan;
   try {
@@ -201,7 +228,7 @@ int cmd_media(const Args& args) {
 
 int cmd_range(const Args& args) {
   const auto tag = tag_from(args);
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_count("antennas", 8);
   const auto plan = FrequencyPlan::paper_default().truncated(n);
   Rng rng(17);
   const bool water = args.get("medium", "air") == "water";
@@ -228,7 +255,7 @@ int cmd_range(const Args& args) {
 
 int cmd_session(const Args& args) {
   const auto tag = tag_from(args);
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_count("antennas", 8);
   const std::string kind = args.get("scenario", "air");
   Scenario scen;
   if (kind == "water") {
@@ -243,9 +270,8 @@ int cmd_session(const Args& args) {
   }
   SessionConfig cfg;
   cfg.plan = FrequencyPlan::paper_default().truncated(n);
-  cfg.reader.averaging_periods =
-      static_cast<std::size_t>(args.get_num("averaging", 10));
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 99)));
+  cfg.reader.averaging_periods = args.get_count("averaging", 10);
+  Rng rng(args.get_u64("seed", 99));
   const auto r = run_gen2_session(scen, tag, cfg, rng);
   if (args.has("json")) {
     JsonWriter w;
@@ -272,7 +298,7 @@ int cmd_session(const Args& args) {
 }
 
 int cmd_vitals(const Args& args) {
-  const int rounds = static_cast<int>(args.get_num("rounds", 5));
+  const int rounds = static_cast<int>(args.get_count("rounds", 5));
   WaveformSessionConfig cfg;
   cfg.plan = FrequencyPlan::paper_default().truncated(8);
   cfg.charge_time_s = 0.2;
@@ -301,7 +327,7 @@ int cmd_vitals(const Args& args) {
 }
 
 int cmd_safety(const Args& args) {
-  const auto n = static_cast<std::size_t>(args.get_num("antennas", 8));
+  const auto n = args.get_count("antennas", 8);
   const double duty = args.get_num("duty", 0.1);
   const double distance = args.get_num("distance", 1.0);
   const auto r = assess_exposure(n, dbm_to_watts(calib::kTxPowerDbm),
@@ -352,9 +378,8 @@ int cmd_deploy(const Args& args) {
   DeploymentRequirements req;
   req.min_reads_per_minute = args.get_num("reads-per-minute", 1.0);
   req.burst_energy_j = args.get_num("burst-uj", 3.0) * 1e-6;
-  req.max_antennas =
-      static_cast<std::size_t>(args.get_num("max-antennas", 10));
-  Rng rng(static_cast<std::uint64_t>(args.get_num("seed", 5)));
+  req.max_antennas = args.get_count("max-antennas", 10);
+  Rng rng(args.get_u64("seed", 5));
   const auto plan = plan_deployment(scen, tag, req, rng);
   if (args.has("json")) {
     JsonWriter w;
@@ -381,14 +406,13 @@ bool write_file(const std::string& path, const std::string& text);
 /// Build the requested figure campaign. Unknown bench => empty name.
 CampaignSpec campaign_from(const Args& args) {
   const std::string bench = args.get("bench", "fig9");
-  const auto trials = static_cast<std::size_t>(args.get_num("trials", 150));
+  const auto trials = args.get_count("trials", 150);
   if (bench == "fig9") return fig9_campaign(trials);
   if (bench == "fig13") {
-    return fig13_campaign(
-        trials, static_cast<std::size_t>(args.get_num("range-trials", 15)));
+    return fig13_campaign(trials, args.get_count("range-trials", 15));
   }
   if (bench == "x13") {
-    return x13_campaign(static_cast<std::size_t>(args.get_num("trials", 48)));
+    return x13_campaign(args.get_count("trials", 48));
   }
   return {};
 }
@@ -425,8 +449,7 @@ int cmd_campaign(const Args& args) {
   }
   const std::string journal =
       args.get("journal", "campaign_" + spec.name + ".jsonl");
-  const auto shards = static_cast<std::size_t>(
-      std::max(1.0, args.get_num("shards", 1)));
+  const auto shards = args.get_count("shards", 1, 1);
   ShardOptions shard_options;
   shard_options.journal_path = journal;
   shard_options.n_shards = shards;
@@ -481,8 +504,7 @@ int cmd_campaign(const Args& args) {
       std::fprintf(stderr, "ivnet campaign worker: --shard K required\n");
       return 2;
     }
-    const auto shard =
-        static_cast<std::size_t>(args.get_num("shard", 0));
+    const auto shard = args.get_count("shard", 0);
     try {
       const ShardWorkerReport report =
           run_campaign_shard(spec, shard_options, shard);
@@ -601,22 +623,21 @@ void print_follow_line(obs::ServiceTelemetry& telemetry, double now_s) {
 }
 
 int cmd_serve(const Args& args) {
-  const auto workers =
-      static_cast<std::size_t>(std::max(1.0, args.get_num("workers", 4)));
-  const auto queue_depth =
-      static_cast<std::size_t>(std::max(2.0, args.get_num("queue-depth", 256)));
-  const double rate = std::max(1e-3, args.get_num("rate", 500.0));
+  const auto workers = args.get_count("workers", 4, 1);
+  const auto queue_depth = args.get_count("queue-depth", 256, 2);
+  const double requested_rate = args.get_num("rate", 500.0);
+  if (!(requested_rate > 0.0)) throw UsageError("--rate must be > 0");
+  const double rate = std::max(1e-3, requested_rate);
   const double duration_s = args.get_num("duration", 0.0);
-  auto requests =
-      static_cast<std::size_t>(std::max(1.0, args.get_num("requests", 1000)));
+  auto requests = args.get_count("requests", 1000, 1);
 
   // 2-state MMPP over the decode template: calm (0.5x) and surge (1.5x)
   // around the requested mean rate, sticky states so bursts last ~10
   // arrivals. The schedule is deterministic in --seed alone.
   svc::LoadState calm;
   calm.rate_rps = 0.5;
-  calm.trials = static_cast<std::uint32_t>(std::max(1.0, args.get_num("trials", 1)));
-  calm.antennas = static_cast<std::uint16_t>(std::max(1.0, args.get_num("antennas", 2)));
+  calm.trials = static_cast<std::uint32_t>(args.get_count("trials", 1, 1));
+  calm.antennas = static_cast<std::uint16_t>(args.get_count("antennas", 2, 1));
   calm.snr_db = args.get_num("snr", 14.0);
   calm.medium_loss_db = args.get_num("loss", 0.0);
   svc::LoadState surge = calm;
@@ -625,7 +646,7 @@ int cmd_serve(const Args& args) {
   svc::LoadGenConfig load;
   load.states = {calm, surge};
   load.transition = {0.9, 0.1, 0.1, 0.9};
-  load.seed = static_cast<std::uint64_t>(args.get_num("seed", 41));
+  load.seed = args.get_u64("seed", 41);
   load.rate_scale = rate;
   if (duration_s > 0.0) {
     // Duration-bounded: oversample the schedule, then cut it at the clock.
@@ -701,8 +722,7 @@ int cmd_serve(const Args& args) {
   svc::ReplayResult replay;
   const bool closed = args.has("closed-loop");
   if (closed) {
-    const auto window = static_cast<std::size_t>(
-        std::max(1.0, args.get_num("closed-loop", 4.0 * workers)));
+    const auto window = args.get_count("closed-loop", 4 * workers, 1);
     replay = svc::run_closed_loop(service, collector, schedule, window);
   } else {
     replay = svc::run_open_loop(service, schedule,
@@ -839,14 +859,14 @@ int cmd_replay_exemplar(const Args& args) {
     start = end + 1;
   }
   if (args.has("id")) {
-    const auto want = static_cast<std::uint64_t>(args.get_num("id", 0));
+    const std::uint64_t want = args.get_u64("id", 0);
     std::vector<obs::Exemplar> keep;
     for (const obs::Exemplar& e : exemplars) {
       if (e.id == want) keep.push_back(e);
     }
     exemplars = std::move(keep);
   } else if (args.has("index")) {
-    const auto k = static_cast<std::size_t>(args.get_num("index", 0));
+    const auto k = args.get_count("index", 0);
     if (k >= exemplars.size()) {
       std::fprintf(stderr,
                    "ivnet replay-exemplar: --index %zu out of range "
@@ -997,7 +1017,14 @@ bool write_file(const std::string& path, const std::string& text) {
   return true;
 }
 
-int dispatch(const Args& args) {
+int dispatch(const Args& args) try {
+  // Batched trial pipeline: the flag overrides the IVNET_BATCH environment
+  // default for every sweep this process runs (output bytes do not change).
+  if (args.has("batch-size")) {
+    const std::size_t k = args.get_count("batch-size", 1);
+    if (k < 1) throw UsageError("--batch-size must be >= 1");
+    set_default_batch_size(k);
+  }
   if (args.command == "plan") return cmd_plan(args);
   if (args.command == "media") return cmd_media(args);
   if (args.command == "range") return cmd_range(args);
@@ -1009,23 +1036,15 @@ int dispatch(const Args& args) {
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "replay-exemplar") return cmd_replay_exemplar(args);
   return cmd_help();
+} catch (const UsageError& e) {
+  std::fprintf(stderr, "ivnet %s: %s\n", args.command.c_str(), e.what());
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
-
-  // Batched trial pipeline: the flag overrides the IVNET_BATCH environment
-  // default for every sweep this process runs (output bytes do not change).
-  if (args.has("batch-size")) {
-    const double k = args.get_num("batch-size", 1.0);
-    if (k < 1.0) {
-      std::fprintf(stderr, "ivnet: --batch-size must be >= 1\n");
-      return 2;
-    }
-    set_default_batch_size(static_cast<std::size_t>(k));
-  }
 
   // Telemetry sink: any command runs instrumented when asked for artifacts.
   const std::string metrics_out = args.get("metrics-out", "");
