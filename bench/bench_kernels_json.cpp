@@ -2,13 +2,9 @@
 // BENCH_kernels.json (ns/op for envelope, peak, expected-peak at
 // N = 2/5/10) so the perf trajectory is comparable across PRs. Also
 // emits a metrics-registry snapshot (<output>_metrics.json) covering
-// the instrumented kernels' counters, and BENCH_dsp.json: the DSP
-// fast-path kernels (fir, decimate, rational resampler) timed against
-// the retained naive oracles from signal/naive_dsp.hpp, with the
-// before/after speedup per kernel.
+// the instrumented kernels' counters.
 //
-//   ./bench_kernels_json [output-path] [dsp-output-path]
-//     (defaults: BENCH_kernels.json BENCH_dsp.json)
+//   ./bench_kernels_json [output-path]   (default: BENCH_kernels.json)
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -20,9 +16,6 @@
 #include "ivnet/common/parallel.hpp"
 #include "ivnet/common/rng.hpp"
 #include "ivnet/obs/obs.hpp"
-#include "ivnet/signal/fir.hpp"
-#include "ivnet/signal/naive_dsp.hpp"
-#include "ivnet/signal/resampler.hpp"
 
 namespace {
 
@@ -55,116 +48,10 @@ struct Result {
   double ns_per_op;
 };
 
-struct DspResult {
-  std::string name;
-  double naive_ns;
-  double fast_ns;
-  double speedup() const { return naive_ns / fast_ns; }
-};
-
-/// Times each fast kernel against its naive oracle on a kSamples-sample
-/// input (the scale of one decimated Gen2 reply window) and writes the
-/// before/after table to `out_path`.
-int run_dsp_bench(const std::string& out_path) {
-  constexpr std::size_t kSamples = 1 << 15;
-  constexpr double kFs = 800e3;
-  Rng rng(7);
-  std::vector<double> x(kSamples);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  Waveform wave;
-  wave.sample_rate_hz = kFs;
-  wave.samples.resize(kSamples);
-  for (auto& s : wave.samples) {
-    s = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  }
-  const auto taps101 = design_lowpass(40e3, kFs, 101);
-  // Reused workspace: steady-state fast-path timing, not first-call
-  // allocation cost.
-  DspWorkspace ws;
-
-  std::vector<DspResult> results;
-  auto bench = [&](const char* name, auto&& naive_fn, auto&& fast_fn) {
-    results.push_back({name, time_ns_per_op(naive_fn), time_ns_per_op(fast_fn)});
-  };
-
-  bench(
-      "fir_real_101tap",
-      [&] { g_sink = naive::fir_filter(x, taps101).back(); },
-      [&] {
-        std::vector<double> out;
-        fir_filter(x, taps101, out);
-        g_sink = out.back();
-      });
-  bench(
-      "fir_cplx_101tap",
-      [&] { g_sink = naive::fir_filter(wave, taps101).samples.back().real(); },
-      [&] {
-        Waveform out;
-        fir_filter(wave, taps101, out, ws);
-        g_sink = out.samples.back().real();
-      });
-  for (const std::size_t factor : {8u, 16u}) {
-    bench(
-        ("decimate_real_x" + std::to_string(factor)).c_str(),
-        [&] { g_sink = naive::decimate(x, factor, kFs).back(); },
-        [&] { g_sink = decimate(x, factor, kFs).back(); });
-  }
-  bench(
-      "decimate_cplx_x8",
-      [&] { g_sink = naive::decimate(wave, 8).samples.back().real(); },
-      [&] { g_sink = decimate(wave, 8, ws).samples.back().real(); });
-  {
-    const RationalResampler rs(3, 2);
-    bench(
-        "resample_3_2",
-        [&] { g_sink = naive::resample(rs, x).back(); },
-        [&] {
-          std::vector<double> out;
-          rs.apply(x, out);
-          g_sink = out.back();
-        });
-  }
-
-  JsonWriter w;
-  w.begin_object();
-  w.field("bench", "dsp_fastpath");
-  w.field("samples", kSamples);
-  w.field("sample_rate_hz", kFs);
-  w.key("results").begin_array();
-  for (const auto& r : results) {
-    w.begin_object();
-    w.field("name", r.name);
-    w.field("naive_ns_per_op", r.naive_ns);
-    w.field("fast_ns_per_op", r.fast_ns);
-    w.field("speedup", r.speedup());
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  std::printf("  %-18s %14s %14s %9s\n", "kernel", "naive ns/op", "fast ns/op",
-              "speedup");
-  for (const auto& r : results) {
-    std::printf("  %-18s %14.0f %14.0f %8.2fx\n", r.name.c_str(), r.naive_ns,
-                r.fast_ns, r.speedup());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
-  const std::string dsp_out_path = argc > 2 ? argv[2] : "BENCH_dsp.json";
   const auto full = FrequencyPlan::paper_default();
   constexpr std::size_t kEnvelopeSteps = 2048;
   constexpr std::size_t kTrials = 32;
@@ -249,5 +136,5 @@ int main(int argc, char** argv) {
     std::printf("  %-14s n=%-2d %12.0f ns/op\n", r.name.c_str(), r.n,
                 r.ns_per_op);
   }
-  return run_dsp_bench(dsp_out_path);
+  return 0;
 }

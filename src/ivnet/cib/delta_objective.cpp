@@ -11,9 +11,9 @@
 namespace ivnet {
 namespace {
 
-/// Same anchor cadence as cib/objective.cpp and signal/phasor.hpp: the
-/// incremental rotation is re-anchored from cos/sin every 4096 steps so
-/// multiplicative drift stays O(4096 * eps).
+/// Same anchor cadence as cib/objective.cpp: the incremental rotation is
+/// re-anchored from cos/sin every 4096 steps so multiplicative drift stays
+/// O(4096 * eps).
 constexpr std::size_t kRenormInterval = 4096;
 
 /// Fixed-point resolution of a tone sample: 2^40. Tone re/im lie in

@@ -23,8 +23,8 @@
 // double-precision `expected_peak_amplitude` oracle with tolerance in the
 // planner tests. The grid, phase draws (common random numbers from
 // score_seed via counter-derived Rng::stream sub-streams), peak scan, and
-// parabolic refinement all mirror cib/objective.cpp, and the tone rotation
-// uses the same anchor-every-4096-steps policy as signal/phasor.hpp.
+// parabolic refinement all mirror cib/objective.cpp, including its
+// anchor-every-4096-steps tone rotation.
 //
 // Layout: structure-of-arrays — one int64 re lane and one im lane per
 // trial, `steps` samples each, contiguous per trial so the per-trial update

@@ -22,11 +22,7 @@
 #include "ivnet/media/medium.hpp"
 #include "ivnet/signal/correlate.hpp"
 #include "ivnet/signal/envelope.hpp"
-#include "ivnet/signal/fir.hpp"
-#include "ivnet/signal/goertzel.hpp"
-#include "ivnet/signal/iq.hpp"
 #include "ivnet/signal/noise.hpp"
-#include "ivnet/signal/resampler.hpp"
 #include "ivnet/signal/waveform.hpp"
 
 // RF and energy harvesting.
@@ -63,7 +59,6 @@
 #include "ivnet/sdr/pa.hpp"
 #include "ivnet/sdr/pll.hpp"
 #include "ivnet/sdr/radio.hpp"
-#include "ivnet/sdr/rx_chain.hpp"
 #include "ivnet/tag/actuator.hpp"
 #include "ivnet/tag/sensor.hpp"
 #include "ivnet/tag/tag_device.hpp"

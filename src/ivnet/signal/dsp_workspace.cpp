@@ -11,9 +11,8 @@ namespace {
 /// to regrow the 460-cap buffer. Best-fit makes a batch's steady state
 /// allocation-free after the first trial. Linear scan: the pools hold a
 /// handful of entries, so this is cheaper than keeping them sorted.
-template <typename T>
-std::vector<T> best_fit_take(std::vector<std::vector<T>>& pool,
-                             std::size_t n) {
+std::vector<double> best_fit_take(std::vector<std::vector<double>>& pool,
+                                  std::size_t n) {
   std::size_t best = pool.size();
   std::size_t largest = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -24,7 +23,7 @@ std::vector<T> best_fit_take(std::vector<std::vector<T>>& pool,
     if (cap >= pool[largest].capacity()) largest = i;
   }
   if (best == pool.size()) best = largest;
-  std::vector<T> buf = std::move(pool[best]);
+  std::vector<double> buf = std::move(pool[best]);
   pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best));
   return buf;
 }
@@ -40,27 +39,13 @@ std::vector<double> DspWorkspace::acquire_real(std::size_t n) {
   return buf;
 }
 
-std::vector<cplx> DspWorkspace::acquire_cplx(std::size_t n) {
-  std::vector<cplx> buf;
-  if (!cplx_pool_.empty()) buf = best_fit_take(cplx_pool_, n);
-  const std::size_t before = buf.capacity() * sizeof(cplx);
-  buf.resize(n);
-  grow_live(buf.capacity() * sizeof(cplx) - before);
-  return buf;
-}
-
 void DspWorkspace::release(std::vector<double>&& buf) {
   real_pool_.push_back(std::move(buf));
-}
-
-void DspWorkspace::release(std::vector<cplx>&& buf) {
-  cplx_pool_.push_back(std::move(buf));
 }
 
 std::size_t DspWorkspace::pooled_bytes() const {
   std::size_t bytes = 0;
   for (const auto& buf : real_pool_) bytes += buf.capacity() * sizeof(double);
-  for (const auto& buf : cplx_pool_) bytes += buf.capacity() * sizeof(cplx);
   return bytes;
 }
 
@@ -68,8 +53,6 @@ void DspWorkspace::trim() {
   const std::size_t dropped = pooled_bytes();
   real_pool_.clear();
   real_pool_.shrink_to_fit();
-  cplx_pool_.clear();
-  cplx_pool_.shrink_to_fit();
   // Saturating: foreign buffers released into the pool were never counted
   // into live_bytes_, so dropping them must not underflow the level.
   live_bytes_ -= dropped < live_bytes_ ? dropped : live_bytes_;
@@ -78,11 +61,6 @@ void DspWorkspace::trim() {
 void DspWorkspace::grow_live(std::size_t grown_bytes) {
   live_bytes_ += grown_bytes;
   if (live_bytes_ > high_water_bytes_) high_water_bytes_ = live_bytes_;
-}
-
-DspWorkspace& DspWorkspace::tls() {
-  static thread_local DspWorkspace workspace;
-  return workspace;
 }
 
 }  // namespace ivnet

@@ -1,14 +1,7 @@
-// Additive white Gaussian noise generation for receiver modeling.
+// Receiver thermal noise floor.
 #pragma once
 
-#include "ivnet/common/rng.hpp"
-#include "ivnet/signal/waveform.hpp"
-
 namespace ivnet {
-
-/// Complex AWGN with total power `noise_power` (variance split evenly across
-/// I and Q), appended in place to `wave`.
-void add_awgn(Waveform& wave, double noise_power, Rng& rng);
 
 /// Thermal noise power [W] over `bandwidth_hz` at 290 K with the given
 /// receiver noise figure: P = kTB * NF.

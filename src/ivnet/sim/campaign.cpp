@@ -278,6 +278,27 @@ Unresolved resolve_in_spec_order(const CampaignSpec& spec,
   return todo;
 }
 
+/// Throws std::runtime_error unless an evaluator's result is one JSON
+/// object on one line: the journal writes it into a single record line,
+/// and the loader trusts only an object there, so anything else would be
+/// journaled, rejected on every resume and recomputed forever.
+void check_result(const CellOutcome& out) {
+  const std::optional<JsonValue> value = json_parse(out.result_json);
+  const char* problem = nullptr;
+  if (!value) {
+    problem = "is not one JSON value";
+  } else if (value->kind() != JsonValue::Kind::kObject) {
+    problem = "is not a JSON object";
+  } else if (out.result_json.find('\n') != std::string::npos) {
+    problem = "spans more than one line";
+  }
+  if (problem != nullptr) {
+    throw std::runtime_error("campaign: the '" + out.spec.kind +
+                             "' result for cell " + hash_hex(out.hash) + " " +
+                             problem);
+  }
+}
+
 /// (b) The compute step: evaluate outcomes[i] for every i in `cells`, one
 /// cell per pool chunk — cells are coarse (whole Monte-Carlo sweeps), so
 /// parallel_for's fine grain would serialize small campaigns — or serially
@@ -286,10 +307,12 @@ Unresolved resolve_in_spec_order(const CampaignSpec& spec,
 /// std::invalid_argument before anything is computed. A cell whose `claim`
 /// fails (another worker has it) is skipped. Each result is journaled
 /// BEFORE it enters the memo cache: once any code path can observe it, its
-/// journal line is already durable. Exceptions (an evaluator throwing, a
-/// journal append that cannot be made durable) cannot unwind through the
-/// pool: the first one is captured, the remaining cells are skipped, and
-/// it is rethrown. Returns each cell's compute seconds, negative if skipped.
+/// journal line is already durable. A result check_result rejects is
+/// neither journaled nor cached. Exceptions (an evaluator throwing or
+/// returning a malformed result, a journal append that cannot be made
+/// durable) cannot unwind through the pool: the first one is captured, the
+/// remaining cells are skipped, and it is rethrown. Returns each cell's
+/// compute seconds, negative if skipped.
 std::vector<double> compute_cells(
     std::vector<CellOutcome>& outcomes, const std::vector<std::size_t>& cells,
     JournalWriter& journal,
@@ -319,6 +342,7 @@ std::vector<double> compute_cells(
       const double dt = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+      check_result(out);
       out.source = CellSource::kComputed;
       journal.append(out, dt);
       CellCache::instance().insert(out.hash, out.result_json);

@@ -60,7 +60,7 @@ WaveformSessionReport WaveformSession::run(const Scenario& scenario,
   // trial before the workspace existed.
   const auto cw_waves = tx_.transmit_cw(config_.charge_time_s);
   const auto rx_charge = receive(channel, cw_waves, plan.offsets_hz());
-  ScopedBuffer<double> charge_env_buf(workspace_, 0);
+  ScopedBuffer charge_env_buf(workspace_, 0);
   std::vector<double>& charge_env = *charge_env_buf;
   envelope(rx_charge, charge_env);
   report.peak_envelope_v = max_value(charge_env);
@@ -87,7 +87,7 @@ WaveformSessionReport WaveformSession::run(const Scenario& scenario,
 
   const auto cmd_waves = tx_.radios().transmit(pie_env, t_start);
   const auto rx_cmd = receive(channel, cmd_waves, plan.offsets_hz());
-  ScopedBuffer<double> cmd_env_buf(workspace_, 0);
+  ScopedBuffer cmd_env_buf(workspace_, 0);
   std::vector<double>& cmd_env = *cmd_env_buf;
   envelope(rx_cmd, cmd_env);
   const auto downlink = device.receive_downlink(cmd_env, fs);
@@ -155,7 +155,7 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
   // as in run()).
   const auto cw_waves = tx_.transmit_cw(config_.charge_time_s);
   const auto rx_charge = receive(channel, cw_waves, plan.offsets_hz());
-  ScopedBuffer<double> charge_env_buf(workspace_, 0);
+  ScopedBuffer charge_env_buf(workspace_, 0);
   std::vector<double>& charge_env = *charge_env_buf;
   envelope(rx_charge, charge_env);
   const auto charge_result = device.receive_downlink(charge_env, fs);
@@ -196,7 +196,7 @@ SensorReadReport WaveformSession::run_sensor_read(const Scenario& scenario,
   int command_index = 0;
   SessionStage trace_stage = SessionStage::kQuery;
   // One envelope buffer serves every command attempt of the dialogue.
-  ScopedBuffer<double> cmd_env_buf(workspace_, 0);
+  ScopedBuffer cmd_env_buf(workspace_, 0);
   auto send_once = [&](const gen2::Bits& command,
                        bool with_preamble) -> std::optional<gen2::Bits> {
     const auto pie_env =

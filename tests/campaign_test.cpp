@@ -6,8 +6,9 @@
 // determinism, the process-wide memo cache (duplicate and cross-campaign
 // sharing), thread-count invariance, the obs:: counter surface, and the
 // journal durability contract (failed appends throw; raw \r bytes
-// round-trip through the binary-mode reader). The distributed fleet lives
-// in campaign_shard_test.cpp.
+// round-trip through the binary-mode reader; a result that is not one JSON
+// object on one line throws and is never journaled). The distributed fleet
+// lives in campaign_shard_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,6 +133,48 @@ TEST_F(CampaignTest, UnknownKindThrowsBeforeAnyWork) {
   spec.cells.emplace_back("no_such_kind");
   EXPECT_THROW(run_campaign(spec), std::invalid_argument);
   EXPECT_EQ(g_synth_calls.load(), 0) << "must throw before evaluating cells";
+}
+
+TEST_F(CampaignTest, ResultThatIsNotOneObjectThrowsAndIsNeverJournaled) {
+  // The loader trusts only one JSON object per journal line, so a result
+  // that is not one would be journaled, rejected on every resume and
+  // recomputed forever, growing the journal by a record per run.
+  register_cell_evaluator("scalar", [](const CellSpec&) {
+    return std::string("42");
+  });
+  register_cell_evaluator("two_lines", [](const CellSpec&) {
+    return std::string("{\"a\":1}\n{\"b\":2}");
+  });
+  for (const char* kind : {"scalar", "two_lines"}) {
+    CampaignSpec spec;
+    spec.name = kind;
+    spec.cells = {synth_cell(1.0, 2.0), CellSpec(kind)};
+    const std::string path = temp_journal(std::string("bad_") + kind);
+    std::remove(path.c_str());
+    set_parallel_threads(1);
+    std::size_t journal_bytes = 0;
+    for (int run = 0; run < 3; ++run) {
+      try {
+        run_campaign(spec, {path, false});
+        ADD_FAILURE() << kind << ": run " << run << " did not throw";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(kind), std::string::npos) << what;
+        EXPECT_NE(what.find(hash_hex(spec.cells[1].content_hash())),
+                  std::string::npos)
+            << what;
+      }
+      const std::string journal = read_file(path);
+      if (run == 0) journal_bytes = journal.size();
+      EXPECT_EQ(journal.size(), journal_bytes)
+          << kind << ": the journal grew on run " << run;
+      EXPECT_EQ(journal.find(kind), std::string::npos)
+          << kind << ": the malformed result was journaled";
+    }
+    EXPECT_EQ(read_campaign_journal(path).size(), 1u)
+        << kind << ": only the good cell is journaled";
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CampaignTest, ComputesCellsAndReportsSources) {

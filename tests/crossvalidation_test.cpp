@@ -12,7 +12,6 @@
 #include "ivnet/harvester/transient.hpp"
 #include "ivnet/media/medium.hpp"
 #include "ivnet/signal/envelope.hpp"
-#include "ivnet/signal/goertzel.hpp"
 #include "ivnet/signal/waveform.hpp"
 
 namespace ivnet {
@@ -110,18 +109,6 @@ TEST(CrossCheck, AlphaMatchesLowLossApproximation) {
   const double approx =
       0.5 * mild.sigma() * std::sqrt(kMu0 / (mild.eps_r() * kEpsilon0));
   EXPECT_NEAR(exact, approx, 0.01 * approx);
-}
-
-// --- Goertzel vs time-domain mean power (Parseval-style check).
-TEST(CrossCheck, BandPowerAccountsForMultitoneEnergy) {
-  const std::vector<double> offsets = {100.0, 250.0, 400.0};
-  const std::vector<double> phases = {0.1, 1.2, 2.3};
-  const auto wave = make_multitone(offsets, phases, {}, 8192, 8192.0);
-  // Each unit tone contributes |X|^2 = 1 at its own bin.
-  double sum = 0.0;
-  for (double f : offsets) sum += goertzel_power(wave, f);
-  EXPECT_NEAR(sum, 3.0, 0.01);
-  EXPECT_NEAR(mean_power(wave), 3.0, 0.01);
 }
 
 // --- CIB peak amplitude: channel-based evaluator vs direct waveform max.

@@ -183,7 +183,7 @@ TEST(JsonReader, EveryControlCharacterRoundTrips) {
   // The writer \u-escapes the control characters without a short form; the
   // reader must undo every one of 0x00..0x1f, not drop the backslash.
   for (int c = 0; c < 0x20; ++c) {
-    const std::string text = "a" + std::string(1, static_cast<char>(c)) + "b";
+    const std::string text = {'a', static_cast<char>(c), 'b'};
     JsonWriter w;
     w.begin_array().value(text).end_array();
     const std::vector<JsonMember> items = parse_ok(w.str()).items();

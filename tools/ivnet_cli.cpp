@@ -30,9 +30,13 @@
 //   --batch-size K         session-engine lanes per batch in the trial
 //                          sweeps (speed only: results are bitwise-
 //                          identical at any K)
+//
+// A flag the command does not accept, or a malformed number, exits 2
+// naming the flag before any work.
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -42,6 +46,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -111,22 +116,20 @@ struct Args {
 };
 
 /// `--flag value` pairs; a bare `--flag` reads as "1". Any token that does
-/// not start with "--" is a value, so `--snr -5` is negative five.
+/// not start with "--" is a value, so `--snr -5` is negative five. Which
+/// flag names a command accepts is checked later, by dispatch().
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      args.positional.push_back(token);  // e.g. `campaign run`
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      args.positional.emplace_back(argv[i]);  // e.g. `campaign run`
       continue;
     }
-    token.erase(0, 2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.flags[token] = argv[++i];
-    } else {
-      args.flags[token] = "1";
-    }
+    const char* name = argv[i] + 2;
+    const bool has_value =
+        i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    args.flags[name] = has_value ? argv[++i] : "1";
   }
   return args;
 }
@@ -1017,7 +1020,59 @@ bool write_file(const std::string& path, const std::string& text) {
   return true;
 }
 
+/// Flags every command accepts (read by main() and dispatch()).
+const std::vector<std::string_view> kGlobalFlags = {
+    "metrics-out", "trace-out", "trace-clock", "batch-size"};
+
+/// A subcommand and the flag names it reads, besides the global ones.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command> kCommands = {
+    {"plan", cmd_plan,
+     {"antennas", "trials", "moves", "restarts", "seed", "journal", "out",
+      "json"}},
+    {"media", cmd_media, {"json"}},
+    {"range", cmd_range, {"tag", "medium", "antennas", "json"}},
+    {"session", cmd_session,
+     {"scenario", "tag", "antennas", "distance", "depth", "averaging", "seed",
+      "json"}},
+    {"vitals", cmd_vitals, {"rounds"}},
+    {"safety", cmd_safety, {"antennas", "duty", "distance", "json"}},
+    {"deploy", cmd_deploy,
+     {"scenario", "tag", "distance", "depth", "reads-per-minute", "burst-uj",
+      "max-antennas", "seed", "json"}},
+    {"campaign", cmd_campaign,
+     {"bench", "trials", "range-trials", "journal", "out", "fresh", "shards",
+      "shard", "json"}},
+    {"serve", cmd_serve,
+     {"workers", "queue-depth", "requests", "duration", "rate", "trials",
+      "antennas", "snr", "loss", "seed", "closed-loop", "time-scale",
+      "plan-journal", "telemetry-out", "telemetry-interval",
+      "telemetry-clock", "exemplars-out", "flight-out", "follow", "json"}},
+    {"replay-exemplar", cmd_replay_exemplar, {"in", "id", "index", "json"}},
+};
+
+bool contains(const std::vector<std::string_view>& names,
+              std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 int dispatch(const Args& args) try {
+  const auto cmd = std::find_if(kCommands.begin(), kCommands.end(),
+                                [&](const Command& c) {
+                                  return c.name == args.command;
+                                });
+  if (cmd == kCommands.end()) return cmd_help();
+  // A misspelt flag must not run the command with a default in its place.
+  for (const auto& [name, value] : args.flags) {
+    if (!contains(kGlobalFlags, name) && !contains(cmd->flags, name)) {
+      throw UsageError("unknown flag --" + name);
+    }
+  }
   // Batched trial pipeline: the flag overrides the IVNET_BATCH environment
   // default for every sweep this process runs (output bytes do not change).
   if (args.has("batch-size")) {
@@ -1025,17 +1080,7 @@ int dispatch(const Args& args) try {
     if (k < 1) throw UsageError("--batch-size must be >= 1");
     set_default_batch_size(k);
   }
-  if (args.command == "plan") return cmd_plan(args);
-  if (args.command == "media") return cmd_media(args);
-  if (args.command == "range") return cmd_range(args);
-  if (args.command == "session") return cmd_session(args);
-  if (args.command == "vitals") return cmd_vitals(args);
-  if (args.command == "safety") return cmd_safety(args);
-  if (args.command == "deploy") return cmd_deploy(args);
-  if (args.command == "campaign") return cmd_campaign(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "replay-exemplar") return cmd_replay_exemplar(args);
-  return cmd_help();
+  return cmd->run(args);
 } catch (const UsageError& e) {
   std::fprintf(stderr, "ivnet %s: %s\n", args.command.c_str(), e.what());
   return 2;
